@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -202,25 +202,17 @@ class LeibnizAlgebra:
 
     def lower_central_series(self) -> List[Subspace]:
         """[L^1, L^2, ...] down to the first stabilized term."""
-        terms = [self.full_subspace()]
-        while True:
-            nxt = self.product_space(terms[-1], self.full_subspace())
-            if nxt.dim == terms[-1].dim:
-                terms.append(nxt)
-                return terms
-            terms.append(nxt)
-            if nxt.dim == 0:
-                return terms
+        return self._series(lambda t: self.product_space(t, self.full_subspace()))
 
     def derived_series(self) -> List[Subspace]:
+        return self._series(lambda t: self.product_space(t, t))
+
+    def _series(self, step) -> List[Subspace]:
+        """L, step(L), step(step(L)), ... until a term is 0 or repeats the previous dim."""
         terms = [self.full_subspace()]
         while True:
-            nxt = self.product_space(terms[-1], terms[-1])
-            if nxt.dim == terms[-1].dim:
-                terms.append(nxt)
-                return terms
-            terms.append(nxt)
-            if nxt.dim == 0:
+            terms.append(step(terms[-1]))
+            if terms[-1].dim in (0, terms[-2].dim):
                 return terms
 
     def is_nilpotent(self) -> Tuple[bool, Optional[int]]:
@@ -514,21 +506,4 @@ class StructureReport:
     shape: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "field": self.field,
-            "is_lie": self.is_lie,
-            "is_symmetric": self.is_symmetric,
-            "is_nilpotent": self.is_nilpotent,
-            "nilpotency_class": self.nilpotency_class,
-            "is_solvable": self.is_solvable,
-            "derived_length": self.derived_length,
-            "is_supersolvable": self.is_supersolvable,
-            "dim_kernel": self.dim_kernel,
-            "dim_square": self.dim_square,
-            "dim_center": self.dim_center,
-            "dim_square_zero": self.dim_square_zero,
-            "dim_frattini": self.dim_frattini,
-            "shape": self.shape,
-        }
+        return asdict(self)

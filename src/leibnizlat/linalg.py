@@ -300,22 +300,6 @@ class Subspace:
         return "Subspace(dim=%d/%d, basis=%r)" % (self.dim, self.ambient_dim, self.basis)
 
 
-def subspace_from_vectors(f: Field, n: int, vectors: Sequence[Sequence[Scalar]]) -> Subspace:
-    return Subspace.span(f, n, vectors)
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    return u.sum(v)
-
-
-def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
-    return u.intersection(v)
-
-
-def subspace_leq(u: Subspace, v: Subspace) -> bool:
-    return u.leq(v)
-
-
 def nullspace(f: Field, rows: Sequence[Sequence[Scalar]]):
     """Basis of the kernel of the matrix (as row vectors of coefficient space)."""
     if not rows:
@@ -354,6 +338,18 @@ def solve_linear(f: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
     return tuple(x), kernel
 
 
+def subspace_count(p: int, n: int) -> int:
+    """Number of subspaces of F_p^n: the sum over k of the Gaussian binomials [n k]_p."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (n - i) - 1
+            den *= p ** (k - i) - 1
+        total += num // den
+    return total
+
+
 def enumerate_subspaces(f: Field, n: int, budget: int = 10 ** 6) -> Iterator[Subspace]:
     """All subspaces of F_p^n, by dimension then lexicographic RREF key.
 
@@ -362,8 +358,11 @@ def enumerate_subspaces(f: Field, n: int, budget: int = 10 ** 6) -> Iterator[Sub
     """
     if not f.is_prime_field:
         raise LinalgError("subspace enumeration needs a finite prime field")
-    if f.p ** n > budget:
-        raise BudgetExceeded("p^n = %d exceeds budget %d" % (f.p ** n, budget))
+    count = subspace_count(f.p, n)
+    if count > budget:
+        raise BudgetExceeded(
+            "F_%d^%d has %d subspaces, over the subspace budget %d" % (f.p, n, count, budget)
+        )
     elems = list(f.elements())
     for k in range(n + 1):
         batch = []

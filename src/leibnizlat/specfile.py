@@ -40,17 +40,18 @@ def parse_spec(text: str, family: Optional[str] = None) -> LeibnizAlgebra:
         raise SpecError("'name' must be a string")
     f = _parse_field(doc["field"])
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise SpecError("'dim' must be a non-negative integer")
     brackets = doc["brackets"]
     if not isinstance(brackets, list):
         raise SpecError("'brackets' must be a list")
     table = [[[f.zero()] * dim for _ in range(dim)] for _ in range(dim)]
+    seen = {}
     for pos, entry in enumerate(brackets):
         if (
             not isinstance(entry, list)
             or len(entry) != 4
-            or not all(isinstance(x, int) for x in entry[:3])
+            or not all(_is_int(x) for x in entry[:3])
             or not isinstance(entry[3], str)
         ):
             raise SpecError("brackets[%d] must be [i, j, k, \"value\"]" % pos)
@@ -61,11 +62,21 @@ def parse_spec(text: str, family: Optional[str] = None) -> LeibnizAlgebra:
             table[i][j][k] = f.parse_scalar(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecError("brackets[%d]: bad scalar %r (%s)" % (pos, value, exc)) from None
+        if (i, j, k) in seen:
+            raise SpecError(
+                "brackets[%d]: duplicate entry [%d, %d, %d], first given at brackets[%d]"
+                % (pos, i, j, k, seen[i, j, k])
+            )
+        seen[i, j, k] = pos
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
     try:
         return LeibnizAlgebra(name=name, field=f, dim=dim, table=frozen, family=family)
     except AlgebraError as exc:
         raise SpecError(str(exc)) from None
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false are not integers
 
 
 def _parse_field(doc) -> Field:
@@ -74,7 +85,7 @@ def _parse_field(doc) -> Field:
     if doc["type"] == "rational":
         return Field.rational()
     if doc["type"] == "prime":
-        if "p" not in doc or not isinstance(doc["p"], int):
+        if "p" not in doc or not _is_int(doc["p"]):
             raise SpecError("prime field needs an integer 'p'")
         try:
             return Field.prime(doc["p"])

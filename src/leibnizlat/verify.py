@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, List, Optional, Sequence
 
 from .linalg import BudgetExceeded, Subspace, vec_is_zero
@@ -91,7 +91,10 @@ class AlgebraAnalysis:
 
     @cached_property
     def modular(self):
-        return lat_mod.is_modular(self.lattice)
+        # lattice.is_modular on the cached usm and lsm verdicts (Birkhoff)
+        if self.usm.holds and self.lsm.holds:
+            return lat_mod.Verdict(True, None)
+        return lat_mod.Verdict(False, lat_mod.modular_witness(self.lattice))
 
     @cached_property
     def usm(self):
@@ -154,12 +157,15 @@ class AlgebraAnalysis:
         return out
 
     def generated_by_square_zero_lines(self, count: int) -> bool:
-        if self.algebra.dim == 0:
-            return False
-        for combo in itertools.combinations(self.square_zero_lines, count):
-            if self.algebra.subalgebra_closure(list(combo)).dim == self.algebra.dim:
-                return True
-        return False
+        """Some ``count`` square-zero lines generate L: their join is the top node."""
+        lat, l = self.lattice, self.algebra
+        # each line is monic, so (v,) is already the RREF basis of its 1-dim node
+        lines = [lat.index_of(Subspace(l.field, l.dim, (v,))) for v in self.square_zero_lines]
+        top = len(lat) - 1
+        return any(
+            reduce(lat.join_index, combo) == top
+            for combo in itertools.combinations(lines, count)
+        )
 
     @cached_property
     def cyclic_generator(self):

@@ -27,6 +27,24 @@ def test_check_bad_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mangle,fragment",
+    [
+        (lambda d: d.update(dim=True), "'dim' must be a non-negative integer"),
+        (lambda d: d["brackets"].append(list(d["brackets"][0])), "duplicate entry"),
+    ],
+    ids=["dim-true", "duplicate"],
+)
+def test_check_rejects_malformed_spec(spec_path, mangle, fragment, capsys):
+    with open(spec_path) as fh:
+        doc = json.load(fh)
+    mangle(doc)
+    with open(spec_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["check", spec_path]) == EXIT_INPUT_ERROR
+    assert fragment in capsys.readouterr().err
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/no/such/file.json"]) == EXIT_INPUT_ERROR
 

@@ -4,6 +4,8 @@ import pytest
 
 from leibnizlat import (
     Field,
+    LeibnizAlgebra,
+    SubalgebraLattice,
     Subspace,
     all_subalgebras_wqi,
     build_structure_report,
@@ -19,11 +21,183 @@ from leibnizlat import (
     maximal_subalgebras,
     wqi_elementwise,
 )
-from leibnizlat.lattice import is_upper_semimodular_covering
+from leibnizlat.verify import AlgebraAnalysis
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
+
+
+# -- oracles: the full scans that the library decides through theorems ------
+
+
+def _wqi_violated(l, u, v):
+    """[U,V] + [V,U] is not inside U + V: some basis bracket falls outside."""
+    products = [w for a in u.basis for b in v.basis for w in (l.bracket(a, b), l.bracket(b, a))]
+    products = [w for w in products if any(w)]
+    return bool(products) and not all(map(u.sum(v).contains, products))
+
+
+def _wqi_node_pair_oracle(l, lat):
+    """Every node is a weak quasi-ideal, tested against every other node."""
+    return not any(_wqi_violated(l, u, v) for u, v in itertools.combinations(lat.nodes, 2))
+
+
+def _modular_triple_oracle(lat):
+    """<U,V> ^ W = <U, V ^ W> over every node triple with U <= W."""
+    n = len(lat)
+    for u in range(n):
+        for w in range(n):
+            if not lat.leq(u, w):
+                continue
+            for v in range(n):
+                left = lat.meet_index(lat.join_index(u, v), w)
+                if left != lat.join_index(u, lat.meet_index(v, w)):
+                    return False
+    return True
+
+
+def _usm_covering_oracle(lat):
+    """Abstract covering form: if a and b both cover a ^ b, then a v b covers a and b."""
+    n = len(lat)
+    for a in range(n):
+        for b in range(a + 1, n):
+            m = lat.meet_index(a, b)
+            if lat.covered_by(m, a) and lat.covered_by(m, b):
+                j = lat.join_index(a, b)
+                if not (lat.covered_by(a, j) and lat.covered_by(b, j)):
+                    return False
+    return True
+
+
+def _covers(lat, low, high):
+    """high covers low among the nodes, by subspace containment."""
+    return low.dim < high.dim and low.leq(high) and not any(
+        low.dim < s.dim < high.dim and low.leq(s) and s.leq(high) for s in lat.nodes
+    )
+
+
+def _is_cyclic(l, u):
+    return any(l.subalgebra_closure([v]) == u for v in u.vectors())
+
+
+@pytest.fixture(scope="module")
+def base_lattices():
+    """The 86 base members of the seed-7 corpus (catalog bases and the F_2 dim-2 sweep)."""
+    members = [a for a in catalog.corpus(7) if "@basis" not in a.name]
+    assert len(members) == 86
+    assert sum(a.family == "exhaustive_dim2" for a in members) == 13
+    return [(a, enumerate_subalgebras(a)) for a in members]
+
+
+def _assert_negative_controls(failing):
+    # heisenberg over F_2 and F_3 fails every condition, so the failure path is exercised
+    assert {"heisenberg/F2", "heisenberg/F3"} <= failing
+
+
+def test_all_wqi_matches_node_pair_oracle(base_lattices):
+    failing = set()
+    for l, lat in base_lattices:
+        verdict = all_subalgebras_wqi(l, lat)
+        assert verdict.holds == _wqi_node_pair_oracle(l, lat), l.name
+        if not verdict.holds:
+            failing.add(l.name)
+            u, v = verdict.witness
+            assert _wqi_violated(l, u, v), l.name
+            assert _is_cyclic(l, u) and _is_cyclic(l, v), l.name
+    _assert_negative_controls(failing)
+
+
+def test_modular_matches_triple_oracle(base_lattices):
+    failing = set()
+    for l, lat in base_lattices:
+        verdict = is_modular(lat)
+        assert verdict.holds == _modular_triple_oracle(lat), l.name
+        if not verdict.holds:
+            failing.add(l.name)
+            u, v, w = verdict.witness
+            assert u.leq(w), l.name
+            left = l.subalgebra_closure(u.basis + v.basis).intersection(w)
+            right = l.subalgebra_closure(u.basis + v.intersection(w).basis)
+            assert left != right, l.name
+    _assert_negative_controls(failing)
+
+
+def test_usm_matches_covering_oracle(base_lattices):
+    failing = set()
+    for l, lat in base_lattices:
+        verdict = is_upper_semimodular(lat)
+        assert verdict.holds == _usm_covering_oracle(lat), l.name
+        if not verdict.holds:
+            failing.add(l.name)
+            u, b = verdict.witness
+            join = l.subalgebra_closure(u.basis + b.basis)
+            assert _covers(lat, u.intersection(b), b), l.name
+            assert not _covers(lat, u, join), l.name
+    _assert_negative_controls(failing)
+
+
+def test_all_wqi_needs_cyclic_subalgebras_beyond_lines():
+    # [a,a] = b, [a,c] = d, other brackets 0. Every line that is a subalgebra
+    # lies in span{b, c, d}, where all brackets vanish, so only the 2-dim
+    # cyclic subalgebra <a> = span{a, b} exposes [a, c] = d outside <a> + <c>.
+    n = 4
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    table[0][0][1] = 1
+    table[0][2][3] = 1
+    l = LeibnizAlgebra("a2=b,ac=d/F2", F2, n, tuple(tuple(map(tuple, p)) for p in table))
+    lat = enumerate_subalgebras(l)
+    verdict = all_subalgebras_wqi(l, lat)
+    assert not verdict.holds and not _wqi_node_pair_oracle(l, lat)
+    assert not wqi_elementwise(l).holds
+    u, v = verdict.witness
+    assert _wqi_violated(l, u, v)
+    assert Subspace.span(F2, n, [(1, 0, 0, 0), (0, 1, 0, 0)]) in (u, v)
+
+
+def _partition_lattice(m):
+    """Partitions of {0..m-1} by refinement: upper but not lower semimodular for m >= 4.
+
+    The nodes are placeholder subspaces; the condition scans read only the order.
+    """
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        head, rest = items[0], items[1:]
+        for part in partitions(rest):
+            yield [[head]] + part
+            for i in range(len(part)):
+                yield part[:i] + [[head] + part[i]] + part[i + 1:]
+
+    parts = sorted((frozenset(map(frozenset, p)) for p in partitions(list(range(m)))), key=len)
+    parts.reverse()  # finest first: a linear extension of the order
+    k = len(parts)
+    leq = [[all(any(b <= c for c in q) for b in p) for q in parts] for p in parts]
+    upset = [sum(1 << j for j in range(k) if leq[i][j]) for i in range(k)]
+    downset = [sum(1 << i for i in range(k) if leq[i][j]) for j in range(k)]
+    covers_up = [
+        sum(1 << j for j in range(k) if j != i and leq[i][j] and bin(upset[i] & downset[j]).count("1") == 2)
+        for i in range(k)
+    ]
+    nodes = [Subspace(F2, k, (tuple(int(c == i) for c in range(k)),)) for i in range(k)]
+    return SubalgebraLattice(None, nodes, upset, downset, covers_up)
+
+
+def test_modular_needs_lower_semimodularity():
+    lat = _partition_lattice(4)
+    assert len(lat) == 15
+    assert is_upper_semimodular(lat).holds and _usm_covering_oracle(lat)
+    assert not is_lower_semimodular_lattice(lat).holds
+    verdict = is_modular(lat)
+    assert not verdict.holds and not _modular_triple_oracle(lat)
+    u, v, w = (lat.index_of(x) for x in verdict.witness)
+    assert lat.leq(u, w)
+    assert lat.meet_index(lat.join_index(u, v), w) != lat.join_index(u, lat.meet_index(v, w))
+    # the verify cache combines its own usm and lsm verdicts the same way
+    analysis = AlgebraAnalysis(catalog.abelian(1, F2))
+    analysis.lattice = lat  # shadows the cached_property
+    assert analysis.modular == verdict
 
 
 def _closed_subspaces(l):
@@ -122,7 +296,7 @@ def test_usm_forms_agree():
         catalog.extraspecial_plus_center(F3, 1),
     ):
         lat = enumerate_subalgebras(l)
-        assert is_upper_semimodular(lat).holds == is_upper_semimodular_covering(lat).holds
+        assert is_upper_semimodular(lat).holds == _usm_covering_oracle(lat)
 
 
 def test_lower_semimodular():

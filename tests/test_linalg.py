@@ -14,6 +14,7 @@ from leibnizlat import (
     rref,
     solve_linear,
 )
+from leibnizlat.linalg import subspace_count
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -163,6 +164,17 @@ def test_enumerate_subspaces_count(p, n):
 def test_enumerate_subspaces_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_subspaces(F5, 9))  # 5^9 ~ 2e6 > 10^6
+
+
+def test_enumerate_subspaces_budget_counts_subspaces():
+    # p^n = 1024 is small, but F_2^10 has 229,755,605 subspaces
+    assert subspace_count(2, 10) == _gauss_count(2, 10) == 229755605
+    subspaces = enumerate_subspaces(F2, 10)
+    with pytest.raises(BudgetExceeded, match="229755605 subspaces"):
+        next(subspaces)
+    assert len(list(enumerate_subspaces(F2, 4, budget=subspace_count(2, 4)))) == 67
+    with pytest.raises(BudgetExceeded):
+        next(enumerate_subspaces(F2, 4, budget=66))
 
 
 def test_enumerate_subspaces_rational_rejected():

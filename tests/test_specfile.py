@@ -72,6 +72,33 @@ def test_parse_errors(mangle, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "mangle,fragment",
+    [
+        (lambda d: d.update(dim=True), "'dim' must be"),
+        (lambda d: d.update(field={"type": "prime", "p": True}), "integer 'p'"),
+        (lambda d: d["brackets"].append([True, 0, 1, "1"]), "brackets[1] must be"),
+        (lambda d: d["brackets"].append([0, 1, False, "1"]), "brackets[1] must be"),
+        (
+            lambda d: d["brackets"].append([0, 0, 1, "2"]),
+            "brackets[1]: duplicate entry [0, 0, 1], first given at brackets[0]",
+        ),
+    ],
+    ids=["dim-true", "p-true", "index-true", "index-false", "duplicate"],
+)
+def test_parse_rejects_booleans_and_duplicates(mangle, fragment):
+    doc = {
+        "name": "t",
+        "field": {"type": "prime", "p": 3},
+        "dim": 2,
+        "brackets": [[0, 0, 1, "1"]],
+    }
+    mangle(doc)
+    with pytest.raises(SpecError) as exc:
+        parse_spec(json.dumps(doc))
+    assert fragment in str(exc.value)
+
+
 def test_parse_invalid_json():
     with pytest.raises(SpecError):
         parse_spec("{not json")

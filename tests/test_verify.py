@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from leibnizlat import Field, catalog, verify
@@ -119,3 +121,27 @@ def test_analysis_cached_lattice_shared():
     r1 = verify.run_check("rem-equiv", l, a)
     r2 = verify.run_check("lem-wqi-phi", l, a)
     assert r1.status == "pass" and r2.status == "pass"
+
+
+def _generated_by_closures(an, count):
+    """The closure-per-combination computation that the lattice join replaced."""
+    l = an.algebra
+    return any(
+        l.subalgebra_closure(list(combo)).dim == l.dim
+        for combo in itertools.combinations(an.square_zero_lines, count)
+    )
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_generated_by_square_zero_lines_matches_closures(count):
+    seen = {True: 0, False: 0}
+    for l in catalog.corpus(7):
+        if "@basis" in l.name:
+            continue
+        an = verify.AlgebraAnalysis(l)
+        if len(an.square_zero_lines) < count:
+            continue
+        expected = _generated_by_closures(an, count)
+        assert an.generated_by_square_zero_lines(count) == expected, l.name
+        seen[expected] += 1
+    assert seen[True] > 0 and seen[False] > 0, seen
