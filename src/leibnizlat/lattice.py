@@ -98,7 +98,8 @@ def enumerate_subalgebras(
         raise UnsupportedFieldError("subalgebra enumeration needs a finite prime field")
     nodes = []
     for s in enumerate_subspaces(l.field, l.dim, budget=subspace_budget):
-        if l.product_space(s, s).leq(s):
+        # closed iff every basis bracket lies in s (bilinearity); stop at the first miss
+        if all(s.contains(l.bracket(a, b)) for a in s.basis for b in s.basis):
             nodes.append(s)
             if len(nodes) > node_budget:
                 raise BudgetExceeded("subalgebra count exceeds node budget %d" % node_budget)
@@ -212,18 +213,24 @@ def all_subalgebras_wqi(l: LeibnizAlgebra, lat: SubalgebraLattice) -> Verdict:
 
 
 def wqi_elementwise(l: LeibnizAlgebra, budget: int = 10 ** 6) -> Verdict:
-    """[x,y] in <x> + <y> over all element pairs; independent of the node scan."""
+    """[x,y] in <x> + <y> over all element pairs; independent of the node scan.
+
+    Scaling changes neither side ([cx,dy] = cd[x,y] and <cx> = <x>), so one
+    monic vector per line decides it. The monic vector is the smallest on its
+    line, so the first failing monic pair is the first failing pair of the
+    lexicographic scan over all vectors. The budget still bounds p^(2n).
+    """
     if not l.field.is_prime_field:
         raise UnsupportedFieldError("element scan needs a finite prime field")
     if l.field.p ** (2 * l.dim) > budget:
         raise BudgetExceeded(
             "p^(2n) = %d exceeds budget %d" % (l.field.p ** (2 * l.dim), budget)
         )
-    vectors = list(l.all_vectors())
-    generated = [l.subalgebra_closure([v]) for v in vectors]
+    lines = list(l.monic_lines())
+    generated = [l.subalgebra_closure([v]) for v in lines]
     sums: Dict[Tuple[tuple, tuple], Subspace] = {}
-    for x, gx in zip(vectors, generated):
-        for y, gy in zip(vectors, generated):
+    for x, gx in zip(lines, generated):
+        for y, gy in zip(lines, generated):
             w = l.bracket(x, y)
             if vec_is_zero(w):
                 continue

@@ -80,6 +80,7 @@ class AlgebraAnalysis:
         self.scan_budget = scan_budget
         self.elementwise_budget = elementwise_budget
         self.node_budget = node_budget
+        self._cyclic: Dict[tuple, Subspace] = {}  # <v>, filled on demand
 
     @cached_property
     def lattice(self):
@@ -117,12 +118,8 @@ class AlgebraAnalysis:
         return lat_mod.frattini_ideal(self.algebra, self.lattice)
 
     @cached_property
-    def square_zero_vectors(self):
-        return self.algebra.square_zero_vectors(self.scan_budget)
-
-    @cached_property
     def j_subalgebra(self) -> Subspace:
-        return self.algebra.subalgebra_closure(self.square_zero_vectors)
+        return self.algebra.subalgebra_closure(self.square_zero_lines)
 
     @cached_property
     def j_shape(self) -> str:
@@ -141,20 +138,13 @@ class AlgebraAnalysis:
 
     @cached_property
     def square_zero_lines(self) -> List[tuple]:
-        """Monic representatives of the square-zero 1-dim subalgebras."""
-        seen = set()
-        out = []
-        for v in self.square_zero_vectors:
-            for x in v:
-                if x:
-                    break
-            else:
-                continue
-            scaled = tuple(self.algebra.field.div(c, x) for c in v)
-            if scaled not in seen:
-                seen.add(scaled)
-                out.append(scaled)
-        return out
+        """Monic representatives of the square-zero lines, since [cv,cv] = c^2 [v,v]."""
+        l = self.algebra
+        if l.field.is_prime_field and l.field.p ** l.dim > self.scan_budget:
+            raise BudgetExceeded(
+                "p^n = %d exceeds budget %d" % (l.field.p ** l.dim, self.scan_budget)
+            )
+        return [v for v in l.monic_lines() if vec_is_zero(l.bracket(v, v))]
 
     def generated_by_square_zero_lines(self, count: int) -> bool:
         """Some ``count`` square-zero lines generate L: their join is the top node."""
@@ -167,13 +157,19 @@ class AlgebraAnalysis:
             for combo in itertools.combinations(lines, count)
         )
 
+    def cyclic(self, v: tuple) -> Subspace:
+        """The subalgebra <v>, closed at most once per vector."""
+        if v not in self._cyclic:
+            self._cyclic[v] = self.algebra.subalgebra_closure([v])
+        return self._cyclic[v]
+
     @cached_property
     def cyclic_generator(self):
         """A monic generator of the whole algebra, or None."""
         if self.algebra.dim == 0:
             return None
         for v in self.algebra.monic_lines():
-            if self.algebra.subalgebra_closure([v]).dim == self.algebra.dim:
+            if self.cyclic(v).dim == self.algebra.dim:
                 return v
         return None
 
@@ -183,7 +179,7 @@ class AlgebraAnalysis:
         n = l.dim
         scalars = [s for s in l.field.elements() if s]
         for rep in l.monic_lines():
-            if l.subalgebra_closure([rep]).dim != n:
+            if self.cyclic(rep).dim != n:
                 continue
             # x^(n+1) = x^n is not scale-invariant, so try every scaling
             for s in scalars:
@@ -247,10 +243,17 @@ def _report(a, check_id, status, detail="", witness=None):
 
 
 def _with_hypotheses(a, check_id, hypotheses, conclusion):
-    for name, value in hypotheses:
-        if not value:
+    # each test runs only after the earlier hypotheses hold
+    for name, test in hypotheses:
+        if not test(a):
             return _report(a, check_id, "not_applicable", "hypothesis failed: %s" % name)
     return conclusion()
+
+
+_SOLVABLE = ("solvable", lambda a: a.solvable)
+_USM = ("upper semi-modular", lambda a: a.usm.holds)
+_ODD_CHARACTERISTIC = ("characteristic != 2", lambda a: a.algebra.field.characteristic != 2)
+_ALL_WQI = ("all subalgebras WQI", lambda a: a.wqi_all.holds)
 
 
 def _check_thm_abalab(a: AlgebraAnalysis) -> TheoremReport:
@@ -259,12 +262,7 @@ def _check_thm_abalab(a: AlgebraAnalysis) -> TheoremReport:
             return _report(a, "thm-abalab", "pass")
         return _report(a, "thm-abalab", "fail", "J has shape %s" % a.j_shape, a.j_subalgebra)
 
-    return _with_hypotheses(
-        a,
-        "thm-abalab",
-        [("solvable", a.solvable), ("upper semi-modular", a.usm.holds)],
-        concl,
-    )
+    return _with_hypotheses(a, "thm-abalab", [_SOLVABLE, _USM], concl)
 
 
 def _check_prop_usm2(a: AlgebraAnalysis) -> TheoremReport:
@@ -274,12 +272,7 @@ def _check_prop_usm2(a: AlgebraAnalysis) -> TheoremReport:
             return _report(a, "prop-usm2", "pass")
         return _report(a, "prop-usm2", "fail", "L/I has shape %s" % tag, a.kernel)
 
-    return _with_hypotheses(
-        a,
-        "prop-usm2",
-        [("solvable", a.solvable), ("upper semi-modular", a.usm.holds)],
-        concl,
-    )
+    return _with_hypotheses(a, "prop-usm2", [_SOLVABLE, _USM], concl)
 
 
 def _check_thm_alab(a: AlgebraAnalysis) -> TheoremReport:
@@ -292,11 +285,11 @@ def _check_thm_alab(a: AlgebraAnalysis) -> TheoremReport:
         a,
         "thm-alab",
         [
-            ("solvable", a.solvable),
-            ("upper semi-modular", a.usm.holds),
+            _SOLVABLE,
+            _USM,
             (
                 "J almost abelian",
-                a.j_shape in ("almost_abelian_lie", "almost_abelian_nonlie"),
+                lambda a: a.j_shape in ("almost_abelian_lie", "almost_abelian_nonlie"),
             ),
         ],
         concl,
@@ -309,32 +302,18 @@ def _check_thm_ideal(a: AlgebraAnalysis) -> TheoremReport:
             return _report(a, "thm-ideal", "pass")
         return _report(a, "thm-ideal", "fail", "J is not an ideal", a.j_subalgebra)
 
-    return _with_hypotheses(
-        a,
-        "thm-ideal",
-        [
-            ("solvable", a.solvable),
-            ("upper semi-modular", a.usm.holds),
-            ("characteristic != 2", a.algebra.field.characteristic != 2),
-        ],
-        concl,
-    )
+    return _with_hypotheses(a, "thm-ideal", [_SOLVABLE, _USM, _ODD_CHARACTERISTIC], concl)
 
 
 def _check_cor_j_span(a: AlgebraAnalysis) -> TheoremReport:
     def concl():
         l = a.algebra
-        span = Subspace.span(l.field, l.dim, a.square_zero_vectors)
+        span = Subspace.span(l.field, l.dim, a.square_zero_lines)
         if span == a.j_subalgebra:
             return _report(a, "cor-J-span", "pass")
         return _report(a, "cor-J-span", "fail", "span of square-zero elements is not J", span)
 
-    return _with_hypotheses(
-        a,
-        "cor-J-span",
-        [("solvable", a.solvable), ("upper semi-modular", a.usm.holds)],
-        concl,
-    )
+    return _with_hypotheses(a, "cor-J-span", [_SOLVABLE, _USM], concl)
 
 
 def _check_lem_two(a: AlgebraAnalysis) -> TheoremReport:
@@ -347,11 +326,11 @@ def _check_lem_two(a: AlgebraAnalysis) -> TheoremReport:
         a,
         "lem-two",
         [
-            ("solvable", a.solvable),
-            ("upper semi-modular", a.usm.holds),
+            _SOLVABLE,
+            _USM,
             (
                 "generated by two distinct square-zero lines",
-                len(a.square_zero_lines) >= 2 and a.generated_by_square_zero_lines(2),
+                lambda a: len(a.square_zero_lines) >= 2 and a.generated_by_square_zero_lines(2),
             ),
         ],
         concl,
@@ -364,18 +343,20 @@ def _check_lem_three(a: AlgebraAnalysis) -> TheoremReport:
             return _report(a, "lem-three", "pass")
         return _report(a, "lem-three", "fail", "center is nonzero", a.algebra.center())
 
-    l = a.algebra
-    nonabelian = l.product_space(l.full_subspace(), l.full_subspace()).dim > 0
+    def nonabelian(a):
+        full = a.algebra.full_subspace()
+        return a.algebra.product_space(full, full).dim > 0
+
     return _with_hypotheses(
         a,
         "lem-three",
         [
-            ("solvable", a.solvable),
-            ("upper semi-modular", a.usm.holds),
+            _SOLVABLE,
+            _USM,
             ("non-abelian", nonabelian),
             (
                 "generated by three distinct square-zero lines",
-                len(a.square_zero_lines) >= 3 and a.generated_by_square_zero_lines(3),
+                lambda a: len(a.square_zero_lines) >= 3 and a.generated_by_square_zero_lines(3),
             ),
         ],
         concl,
@@ -389,14 +370,16 @@ def _check_lem_1dim(a: AlgebraAnalysis) -> TheoremReport:
             return _report(a, "lem-1dim", "pass")
         return _report(a, "lem-1dim", "fail", "dim L = %d" % l.dim)
 
-    proper = [s for s in a.lattice.nodes if 0 < s.dim < a.algebra.dim]
     return _with_hypotheses(
         a,
         "lem-1dim",
         [
-            ("solvable", a.solvable),
-            ("dim >= 2", a.algebra.dim >= 2),
-            ("all proper nonzero subalgebras 1-dim", all(s.dim == 1 for s in proper)),
+            _SOLVABLE,
+            ("dim >= 2", lambda a: a.algebra.dim >= 2),
+            (
+                "all proper nonzero subalgebras 1-dim",
+                lambda a: all(s.dim == 1 for s in a.lattice.nodes if 0 < s.dim < a.algebra.dim),
+            ),
         ],
         concl,
     )
@@ -414,7 +397,7 @@ def _check_lem_kernel(a: AlgebraAnalysis) -> TheoremReport:
         return _report(a, "lem-kernel", "fail", "kernel of L/phi != I/phi", projected)
 
     return _with_hypotheses(
-        a, "lem-kernel", [("phi(L) <= I", a.frattini.leq(a.kernel))], concl
+        a, "lem-kernel", [("phi(L) <= I", lambda a: a.frattini.leq(a.kernel))], concl
     )
 
 
@@ -444,9 +427,7 @@ def _check_lem_wqi_phi(a: AlgebraAnalysis) -> TheoremReport:
             return _report(a, "lem-wqi-phi", "pass")
         return _report(a, "lem-wqi-phi", "fail", "L/phi has shape %s" % tag, a.frattini)
 
-    return _with_hypotheses(
-        a, "lem-wqi-phi", [("all subalgebras WQI", a.wqi_all.holds)], concl
-    )
+    return _with_hypotheses(a, "lem-wqi-phi", [_ALL_WQI], concl)
 
 
 def _check_lem_cyclic(a: AlgebraAnalysis) -> TheoremReport:
@@ -462,7 +443,7 @@ def _check_lem_cyclic(a: AlgebraAnalysis) -> TheoremReport:
         )
 
     return _with_hypotheses(
-        a, "lem-cyclic", [("cyclic", a.cyclic_generator is not None)], concl
+        a, "lem-cyclic", [("cyclic", lambda a: a.cyclic_generator is not None)], concl
     )
 
 
@@ -473,10 +454,7 @@ def _check_lem_int(a: AlgebraAnalysis) -> TheoremReport:
         return _report(a, "lem-int", "fail", "I ^ phi(L) = 0", a.frattini)
 
     return _with_hypotheses(
-        a,
-        "lem-int",
-        [("all subalgebras WQI", a.wqi_all.holds), ("phi(L) != 0", a.frattini.dim > 0)],
-        concl,
+        a, "lem-int", [_ALL_WQI, ("phi(L) != 0", lambda a: a.frattini.dim > 0)], concl
     )
 
 
@@ -493,9 +471,9 @@ def _family_sufficiency(a, check_id, families, expected_shape):
             )
         return _report(a, check_id, "pass")
 
-    hyps = [("built by a covered family constructor", a.algebra.family in families)]
+    hyps = [("built by a covered family constructor", lambda a: a.algebra.family in families)]
     if check_id == "thm-sqrt-suff":
-        hyps.append(("characteristic != 2", a.algebra.field.characteristic != 2))
+        hyps.append(_ODD_CHARACTERISTIC)
     return _with_hypotheses(a, check_id, hyps, concl)
 
 
@@ -527,7 +505,7 @@ def _check_rem_equiv(a: AlgebraAnalysis) -> TheoremReport:
             a.modular.witness or a.usm.witness or a.wqi_all.witness,
         )
 
-    return _with_hypotheses(a, "rem-equiv", [("solvable", a.solvable)], concl)
+    return _with_hypotheses(a, "rem-equiv", [_SOLVABLE], concl)
 
 
 def _check_thm_sym_suff(a: AlgebraAnalysis) -> TheoremReport:
@@ -540,8 +518,11 @@ def _check_thm_sym_suff(a: AlgebraAnalysis) -> TheoremReport:
         a,
         "thm-sym-suff",
         [
-            ("symmetric", a.symmetric),
-            ("matches a modular symmetric shape", symmetric_modular_shape(a) is not None),
+            ("symmetric", lambda a: a.symmetric),
+            (
+                "matches a modular symmetric shape",
+                lambda a: symmetric_modular_shape(a) is not None,
+            ),
         ],
         concl,
     )

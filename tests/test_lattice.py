@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -26,6 +27,7 @@ from leibnizlat.verify import AlgebraAnalysis
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
+F7 = Field.prime(7)
 
 
 # -- oracles: the full scans that the library decides through theorems ------
@@ -68,6 +70,62 @@ def _usm_covering_oracle(lat):
                 if not (lat.covered_by(a, j) and lat.covered_by(b, j)):
                     return False
     return True
+
+
+def _wqi_elementwise_oracle(l):
+    """[x,y] in <x> + <y> over every ordered pair of vectors, in lexicographic order."""
+    vectors = list(l.all_vectors())
+    generated = [l.subalgebra_closure([v]) for v in vectors]
+    sums = {}
+    for x, gx in zip(vectors, generated):
+        for y, gy in zip(vectors, generated):
+            w = l.bracket(x, y)
+            if not any(w):
+                continue
+            key = (gx.basis, gy.basis)
+            if key not in sums:
+                sums[key] = gx.sum(gy)
+            if not sums[key].contains(w):
+                return (False, (x, y))
+    return (True, None)
+
+
+def _lattice_oracle(l):
+    """Nodes by the product-space filter [S,S] <= S; order and covers from their definitions."""
+    nodes = [s for s in enumerate_subspaces(l.field, l.dim) if l.product_space(s, s).leq(s)]
+    n = len(nodes)
+    upset = [sum(1 << j for j in range(n) if nodes[i].leq(nodes[j])) for i in range(n)]
+    downset = [sum(1 << i for i in range(n) if nodes[i].leq(nodes[j])) for j in range(n)]
+    # j covers i when the interval [i, j] holds exactly the two nodes i != j
+    covers_up = [
+        sum(1 << j for j in range(n) if j != i and bin(upset[i] & downset[j]).count("1") == 2)
+        for i in range(n)
+    ]
+    return nodes, upset, downset, covers_up
+
+
+# the algebras of the benchmark's dense-lattice and sparse-lattice workloads
+LATTICE_WORKLOAD_ALGEBRAS = [
+    ("almost_abelian_lie", (3,), 7),
+    ("abelian", (3,), 7),
+    ("almost_abelian_lie", (4,), 2),
+    ("almost_abelian_lie", (3,), 5),
+    ("abelian", (4,), 2),
+    ("cyclic_nilpotent", (4,), 7),
+    ("cyclic_nilpotent", (4,), 5),
+    ("cyclic_solvable", (4,), 5),
+    ("heisenberg_lie", (), 13),
+    ("heisenberg_lie", (), 11),
+]
+
+
+def _a2_ac(f):
+    """[a,a] = b, [a,c] = d on basis a, b, c, d; every other bracket is 0."""
+    n = 4
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    table[0][0][1] = 1
+    table[0][2][3] = 1
+    return LeibnizAlgebra("a2=b,ac=d/F%d" % f.p, f, n, tuple(tuple(map(tuple, p)) for p in table))
 
 
 def _covers(lat, low, high):
@@ -138,14 +196,11 @@ def test_usm_matches_covering_oracle(base_lattices):
 
 
 def test_all_wqi_needs_cyclic_subalgebras_beyond_lines():
-    # [a,a] = b, [a,c] = d, other brackets 0. Every line that is a subalgebra
-    # lies in span{b, c, d}, where all brackets vanish, so only the 2-dim
-    # cyclic subalgebra <a> = span{a, b} exposes [a, c] = d outside <a> + <c>.
+    # Every line that is a subalgebra lies in span{b, c, d}, where all brackets
+    # vanish, so only the 2-dim cyclic subalgebra <a> = span{a, b} exposes
+    # [a, c] = d outside <a> + <c>.
     n = 4
-    table = [[[0] * n for _ in range(n)] for _ in range(n)]
-    table[0][0][1] = 1
-    table[0][2][3] = 1
-    l = LeibnizAlgebra("a2=b,ac=d/F2", F2, n, tuple(tuple(map(tuple, p)) for p in table))
+    l = _a2_ac(F2)
     lat = enumerate_subalgebras(l)
     verdict = all_subalgebras_wqi(l, lat)
     assert not verdict.holds and not _wqi_node_pair_oracle(l, lat)
@@ -333,6 +388,49 @@ def test_wqi_elementwise_matches_lattice_verdict():
     ):
         lat = enumerate_subalgebras(l)
         assert wqi_elementwise(l).holds == all_subalgebras_wqi(l, lat).holds, l.name
+
+
+def test_wqi_elementwise_matches_all_vector_oracle(base_lattices):
+    # exact (holds, witness) equality: the monic scan finds the same first failing pair;
+    # the basis copies are those with p >= 3 that lem-qi scans in the corpus
+    members = [l for l, _ in base_lattices]
+    members += [
+        l
+        for l in catalog.corpus(7)
+        if "@basis" in l.name and l.field.p >= 3 and l.field.p ** (2 * l.dim) <= 10 ** 4
+    ]
+    failing = set()
+    for l in members:
+        verdict = wqi_elementwise(l)
+        assert tuple(verdict) == _wqi_elementwise_oracle(l), l.name
+        if not verdict.holds:
+            failing.add(l.name)
+    assert {"heisenberg/F3", "heisenberg/F5", "heisenberg/F3@basis2"} <= failing
+
+
+@pytest.mark.parametrize("field", [F3, F5, F7])
+def test_wqi_elementwise_witness_on_failing_algebras(field):
+    rng = random.Random(field.p)
+    algebras = [catalog.heisenberg_lie(field)]
+    if field.p ** 8 <= 10 ** 6:  # the 4-dim algebra over F_7 exceeds the default budget
+        algebras.append(_a2_ac(field))
+    for base in list(algebras):
+        algebras.append(base.change_of_basis(catalog.random_invertible(field, base.dim, rng)))
+    for l in algebras:
+        verdict = wqi_elementwise(l, budget=10 ** 6)
+        assert tuple(verdict) == _wqi_elementwise_oracle(l), l.name
+        x, y = verdict.witness
+        w = l.bracket(x, y)
+        assert not l.subalgebra_closure([x]).sum(l.subalgebra_closure([y])).contains(w)
+
+
+def test_enumeration_matches_product_space_filter(base_lattices):
+    cases = list(base_lattices)
+    for family, params, p in LATTICE_WORKLOAD_ALGEBRAS:
+        l = catalog.FAMILIES[family][0](*params, Field.prime(p))
+        cases.append((l, enumerate_subalgebras(l)))
+    for l, lat in cases:
+        assert (lat.nodes, lat.upset, lat.downset, lat.covers_up) == _lattice_oracle(l), l.name
 
 
 def test_maximal_subalgebras_cyclic_solvable():

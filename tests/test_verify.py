@@ -1,8 +1,9 @@
+import collections
 import itertools
 
 import pytest
 
-from leibnizlat import Field, catalog, verify
+from leibnizlat import Field, LeibnizAlgebra, Subspace, catalog, verify
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -145,3 +146,92 @@ def test_generated_by_square_zero_lines_matches_closures(count):
         assert an.generated_by_square_zero_lines(count) == expected, l.name
         seen[expected] += 1
     assert seen[True] > 0 and seen[False] > 0, seen
+
+
+@pytest.fixture(scope="module")
+def base_members():
+    return [l for l in catalog.corpus(7) if "@basis" not in l.name]
+
+
+def _square_zero_lines_oracle(l):
+    """Every square-zero vector scaled to monic form, each line kept at its first vector."""
+    out = []
+    for v in l.square_zero_vectors():
+        lead = next((x for x in v if x), None)
+        if lead is not None:
+            scaled = tuple(l.field.div(c, lead) for c in v)
+            if scaled not in out:
+                out.append(scaled)
+    return out
+
+
+def test_square_zero_lines_match_vector_scan(base_members):
+    for l in base_members:
+        an = verify.AlgebraAnalysis(l)
+        vectors = l.square_zero_vectors()
+        assert an.square_zero_lines == _square_zero_lines_oracle(l), l.name
+        assert an.j_subalgebra == l.subalgebra_closure(vectors), l.name
+        # the span that cor-J-span compares with J
+        span = Subspace.span(l.field, l.dim, an.square_zero_lines)
+        assert span == Subspace.span(l.field, l.dim, vectors), l.name
+
+
+def test_hypotheses_stop_at_the_first_failure(monkeypatch):
+    calls = []
+    original = verify.AlgebraAnalysis.generated_by_square_zero_lines
+
+    def spy(self, count):
+        calls.append((self.algebra.name, count))
+        return original(self, count)
+
+    monkeypatch.setattr(verify.AlgebraAnalysis, "generated_by_square_zero_lines", spy)
+    algebras = [catalog.heisenberg_lie(f) for f in (F2, F3, F5)]
+    for l in algebras:
+        an = verify.AlgebraAnalysis(l)
+        assert an.solvable and not an.usm.holds and len(an.square_zero_lines) >= 3, l.name
+    assert verify.run_suite(algebras)["ok"]
+    assert calls == []
+
+
+def _canonical_form_oracle(l):
+    """Some generator v, over all nonzero vectors, has v^(n+1) = 0 or v^(n+1) = v^n."""
+    n = l.dim
+    for v in l.all_vectors():
+        if not any(v) or l.subalgebra_closure([v]).dim != n:
+            continue
+        powers = [v]
+        for _ in range(n - 1):
+            powers.append(l.bracket(powers[-1], v))
+        if Subspace.span(l.field, n, powers).dim == n:
+            nxt = l.bracket(powers[-1], v)
+            if not any(nxt):
+                return "nilpotent"
+            if nxt == powers[-1]:
+                return "solvable"
+    return None
+
+
+def test_lem_cyclic_closes_each_line_once(base_members, monkeypatch):
+    cases = []
+    for l in base_members:
+        an = verify.AlgebraAnalysis(l)
+        an.wqi_all  # the all-WQI scan closes lines of its own
+        generator = next((v for v in l.monic_lines() if l.generated_by([v])), None)
+        cases.append((an, generator, _canonical_form_oracle(l)))
+    closed = collections.Counter()
+    original = LeibnizAlgebra.subalgebra_closure
+
+    def spy(self, vectors):
+        closed[tuple(vectors)] += 1
+        return original(self, vectors)
+
+    monkeypatch.setattr(LeibnizAlgebra, "subalgebra_closure", spy)
+    forms = collections.Counter()
+    for an, generator, form in cases:
+        closed.clear()
+        verify.run_check("lem-cyclic", an.algebra, an)
+        assert an.cyclic_generator == generator, an.algebra.name
+        assert an.cyclic_canonical_form() == form, an.algebra.name
+        assert max(closed.values(), default=0) == 1, an.algebra.name
+        forms[form] += 1
+    assert forms["nilpotent"] and forms["solvable"] and forms[None], forms
