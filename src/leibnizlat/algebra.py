@@ -250,16 +250,27 @@ class LeibnizAlgebra:
                 rows.append([self.table[i][j][k] for j in range(n)])  # [e_i, x] = 0
         return Subspace.span(f, n, nullspace(f, rows))
 
-    def all_vectors(self, budget: int = 10 ** 6) -> Iterator[Vector]:
+    def _check_element_scan(self, budget: int) -> None:
         f = self.field
         if not f.is_prime_field:
             raise UnsupportedFieldError("element scans need a finite prime field")
         if f.p ** self.dim > budget:
             raise BudgetExceeded("p^n = %d exceeds budget %d" % (f.p ** self.dim, budget))
-        yield from itertools.product(list(f.elements()), repeat=self.dim)
+
+    def all_vectors(self, budget: int = 10 ** 6) -> Iterator[Vector]:
+        self._check_element_scan(budget)
+        yield from itertools.product(list(self.field.elements()), repeat=self.dim)
 
     def square_zero_vectors(self, budget: int = 10 ** 6) -> List[Vector]:
         return [v for v in self.all_vectors(budget) if vec_is_zero(self.bracket(v, v))]
+
+    def square_zero_lines(self, budget: int = 10 ** 6) -> List[Vector]:
+        """Monic representatives of the square-zero lines, since [cv,cv] = c^2 [v,v].
+
+        Same scope as square_zero_vectors: the budget still bounds p^n.
+        """
+        self._check_element_scan(budget)
+        return [v for v in self.monic_lines() if vec_is_zero(self.bracket(v, v))]
 
     def square_zero_subalgebra(
         self,

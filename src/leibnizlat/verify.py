@@ -138,13 +138,7 @@ class AlgebraAnalysis:
 
     @cached_property
     def square_zero_lines(self) -> List[tuple]:
-        """Monic representatives of the square-zero lines, since [cv,cv] = c^2 [v,v]."""
-        l = self.algebra
-        if l.field.is_prime_field and l.field.p ** l.dim > self.scan_budget:
-            raise BudgetExceeded(
-                "p^n = %d exceeds budget %d" % (l.field.p ** l.dim, self.scan_budget)
-            )
-        return [v for v in l.monic_lines() if vec_is_zero(l.bracket(v, v))]
+        return self.algebra.square_zero_lines(self.scan_budget)
 
     def generated_by_square_zero_lines(self, count: int) -> bool:
         """Some ``count`` square-zero lines generate L: their join is the top node."""

@@ -5,6 +5,7 @@ import pytest
 
 from leibnizlat import (
     AlgebraError,
+    BudgetExceeded,
     Field,
     LeibnizAlgebra,
     Subspace,
@@ -125,6 +126,20 @@ def test_square_zero_rational_guard():
     l = catalog.abelian(2, Field.rational())
     with pytest.raises(UnsupportedFieldError):
         l.square_zero_subalgebra()
+    with pytest.raises(UnsupportedFieldError):
+        l.square_zero_lines()
+
+
+def test_square_zero_lines_share_the_vector_budget():
+    # the line scan keeps the p^n bound and the message of the vector scan
+    l = catalog.heisenberg_lie(F3)
+    messages = []
+    for scan in (l.square_zero_vectors, l.square_zero_lines):
+        with pytest.raises(BudgetExceeded) as exc:
+            scan(26)
+        messages.append(str(exc.value))
+    assert messages == ["p^n = 27 exceeds budget 26"] * 2
+    assert len(l.square_zero_lines(27)) == 13  # [x,x] = 0 for every x in a Lie algebra
 
 
 def test_subalgebra_closure_is_closure_operator():

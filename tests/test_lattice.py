@@ -90,35 +90,6 @@ def _wqi_elementwise_oracle(l):
     return (True, None)
 
 
-def _lattice_oracle(l):
-    """Nodes by the product-space filter [S,S] <= S; order and covers from their definitions."""
-    nodes = [s for s in enumerate_subspaces(l.field, l.dim) if l.product_space(s, s).leq(s)]
-    n = len(nodes)
-    upset = [sum(1 << j for j in range(n) if nodes[i].leq(nodes[j])) for i in range(n)]
-    downset = [sum(1 << i for i in range(n) if nodes[i].leq(nodes[j])) for j in range(n)]
-    # j covers i when the interval [i, j] holds exactly the two nodes i != j
-    covers_up = [
-        sum(1 << j for j in range(n) if j != i and bin(upset[i] & downset[j]).count("1") == 2)
-        for i in range(n)
-    ]
-    return nodes, upset, downset, covers_up
-
-
-# the algebras of the benchmark's dense-lattice and sparse-lattice workloads
-LATTICE_WORKLOAD_ALGEBRAS = [
-    ("almost_abelian_lie", (3,), 7),
-    ("abelian", (3,), 7),
-    ("almost_abelian_lie", (4,), 2),
-    ("almost_abelian_lie", (3,), 5),
-    ("abelian", (4,), 2),
-    ("cyclic_nilpotent", (4,), 7),
-    ("cyclic_nilpotent", (4,), 5),
-    ("cyclic_solvable", (4,), 5),
-    ("heisenberg_lie", (), 13),
-    ("heisenberg_lie", (), 11),
-]
-
-
 def _a2_ac(f):
     """[a,a] = b, [a,c] = d on basis a, b, c, d; every other bracket is 0."""
     n = 4
@@ -422,15 +393,6 @@ def test_wqi_elementwise_witness_on_failing_algebras(field):
         x, y = verdict.witness
         w = l.bracket(x, y)
         assert not l.subalgebra_closure([x]).sum(l.subalgebra_closure([y])).contains(w)
-
-
-def test_enumeration_matches_product_space_filter(base_lattices):
-    cases = list(base_lattices)
-    for family, params, p in LATTICE_WORKLOAD_ALGEBRAS:
-        l = catalog.FAMILIES[family][0](*params, Field.prime(p))
-        cases.append((l, enumerate_subalgebras(l)))
-    for l, lat in cases:
-        assert (lat.nodes, lat.upset, lat.downset, lat.covers_up) == _lattice_oracle(l), l.name
 
 
 def test_maximal_subalgebras_cyclic_solvable():

@@ -176,6 +176,33 @@ def test_square_zero_lines_match_vector_scan(base_members):
         assert span == Subspace.span(l.field, l.dim, vectors), l.name
 
 
+def _sl2(f):
+    """e, f, h with [e,f] = h, [h,e] = 2e, [h,f] = -2f: Lie and perfect, so not solvable."""
+    p = f.p
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k, c in [(0, 1, 2, 1), (2, 0, 0, 2), (2, 1, 1, -2)]:
+        table[i][j][k] = c % p
+        table[j][i][k] = -c % p
+    return LeibnizAlgebra("sl2/F%d" % p, f, 3, tuple(tuple(map(tuple, r)) for r in table))
+
+
+def test_solvable_hypothesis_comes_before_the_lattice_budget():
+    # a non-solvable algebra whose lattice is over budget reports the failed
+    # hypothesis, not the budget: the lattice is never enumerated
+    l = _sl2(F5)
+    assert not l.is_solvable()[0]
+    an = verify.AlgebraAnalysis(l, node_budget=1)
+    for cid in ("thm-abalab", "prop-usm2", "thm-alab", "thm-ideal", "cor-J-span",
+                "lem-two", "lem-three", "lem-1dim"):
+        report = verify.run_check(cid, l, an)
+        assert (report.status, report.detail) == (
+            "not_applicable", "hypothesis failed: solvable"
+        ), cid
+    assert "lattice" not in vars(an)
+    assert verify.run_check("rem-equiv", l, an).detail == "hypothesis failed: solvable"
+    assert verify.run_check("lem-wqi-phi", l, an).detail.startswith("budget: ")
+
+
 def test_hypotheses_stop_at_the_first_failure(monkeypatch):
     calls = []
     original = verify.AlgebraAnalysis.generated_by_square_zero_lines
