@@ -38,60 +38,58 @@ class UnsupportedFieldError(AlgebraError):
 
 
 def _normalize_table(f: Field, table) -> tuple:
-    return tuple(
-        tuple(tuple(f.normalize(x) for x in row) for row in plane) for plane in table
-    )
+    return tuple(tuple(tuple(f.normalize_row(row)) for row in plane) for plane in table)
 
 
 def _vector_bracket(f: Field, table, x: Vector, y: Vector) -> Vector:
-    n = len(x)
-    out = list(zero_vector(f, n))
-    for i in range(n):
+    """Raw products summed per coordinate, reduced once per vector. The f.zero()
+    seed keeps each untouched coordinate over Q one shared Fraction, not a new one."""
+    idx = range(len(x))
+    out = [f.zero()] * len(x)
+    for i in idx:
         xi = x[i]
         if not xi:
             continue
         plane = table[i]
-        for j in range(n):
+        for j in idx:
             yj = y[j]
             if not yj:
                 continue
-            coeff = f.mul(xi, yj)
+            coeff = xi * yj
             row = plane[j]
-            for k in range(n):
-                if row[k]:
-                    out[k] = f.add(out[k], f.mul(coeff, row[k]))
-    return tuple(out)
+            for k in idx:
+                c = row[k]
+                if c:
+                    out[k] += coeff * c
+    return tuple(f.normalize_row(out))
+
+
+def _leibniz_violation(f: Field, table, left: bool) -> Optional[Tuple[int, int, int]]:
+    """First basis triple (i,j,k) with [e_i,[e_j,e_k]] != [[e_i,e_j],e_k] + t, where
+    t = [e_j,[e_i,e_k]] (left identity) or t = [[e_i,e_k],-e_j] (right identity)."""
+    n = len(table)
+    e = [_std_basis(f, n, i) for i in range(n)]
+    minus_e = [tuple(f.scale_row(f.neg(f.one()), v)) for v in e]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = _vector_bracket(f, table, e[i], table[j][k])
+        t1 = _vector_bracket(f, table, table[i][j], e[k])
+        if left:
+            t = _vector_bracket(f, table, e[j], table[i][k])
+        else:
+            t = _vector_bracket(f, table, table[i][k], minus_e[j])
+        if lhs != tuple(f.normalize_row([a + b for a, b in zip(t1, t)])):
+            return (i, j, k)
+    return None
 
 
 def right_leibniz_violation(f: Field, table) -> Optional[Tuple[int, int, int]]:
     """First basis triple (i,j,k) violating [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] - [[e_i,e_k],e_j]."""
-    n = len(table)
-    for i in range(n):
-        ei = _std_basis(f, n, i)
-        for j in range(n):
-            for k in range(n):
-                lhs = _vector_bracket(f, table, ei, table[j][k])
-                t1 = _vector_bracket(f, table, table[i][j], _std_basis(f, n, k))
-                t2 = _vector_bracket(f, table, table[i][k], _std_basis(f, n, j))
-                if lhs != tuple(f.sub(a, b) for a, b in zip(t1, t2)):
-                    return (i, j, k)
-    return None
+    return _leibniz_violation(f, table, left=False)
 
 
 def left_leibniz_violation(f: Field, table) -> Optional[Tuple[int, int, int]]:
     """First basis triple (i,j,k) violating [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] + [e_j,[e_i,e_k]]."""
-    n = len(table)
-    for i in range(n):
-        ei = _std_basis(f, n, i)
-        for j in range(n):
-            ej = _std_basis(f, n, j)
-            for k in range(n):
-                lhs = _vector_bracket(f, table, ei, table[j][k])
-                t1 = _vector_bracket(f, table, table[i][j], _std_basis(f, n, k))
-                t2 = _vector_bracket(f, table, ej, table[i][k])
-                if lhs != tuple(f.add(a, b) for a, b in zip(t1, t2)):
-                    return (i, j, k)
-    return None
+    return _leibniz_violation(f, table, left=True)
 
 
 def check_right_leibniz(f: Field, table) -> bool:
@@ -462,14 +460,12 @@ class LeibnizAlgebra:
     def change_of_basis(self, p_matrix: Sequence[Sequence[Scalar]]) -> "LeibnizAlgebra":
         """New algebra on the basis f_i = sum_j P[i][j] e_j."""
         f, n = self.field, self.dim
-        p = tuple(tuple(f.normalize(x) for x in row) for row in p_matrix)
-        pinv = invert_matrix(f, p)
+        p = tuple(tuple(f.normalize_row(row)) for row in p_matrix)
+        pinv_cols = list(zip(*invert_matrix(f, p)))
 
         def to_new_coords(v: Vector) -> Vector:
-            return tuple(
-                _dot(f, v, tuple(pinv[m][k] for m in range(n)))
-                for k in range(n)
-            )
+            sums = [sum((a * b for a, b in zip(v, c) if a and b), f.zero()) for c in pinv_cols]
+            return tuple(f.normalize_row(sums))
 
         table = []
         for i in range(n):
@@ -485,14 +481,6 @@ class LeibnizAlgebra:
             table=tuple(table),
             family=self.family,
         )
-
-
-def _dot(f: Field, u: Vector, v: Vector) -> Scalar:
-    acc = f.zero()
-    for a, b in zip(u, v):
-        if a and b:
-            acc = f.add(acc, f.mul(a, b))
-    return acc
 
 
 @dataclass

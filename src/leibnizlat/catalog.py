@@ -152,7 +152,7 @@ def symmetric_iv(m: int, f: Field) -> LeibnizAlgebra:
     )
 
 
-def extraspecial_plus_center(f: Field, z_dim: int) -> LeibnizAlgebra:
+def extraspecial_plus_center(z_dim: int, f: Field) -> LeibnizAlgebra:
     """Minimal extraspecial witness (e^2 = z) direct-summed with a central abelian part."""
     if z_dim < 0:
         raise AlgebraError("central dimension must be >= 0")
@@ -173,10 +173,6 @@ def heisenberg_lie(f: Field) -> LeibnizAlgebra:
     return _build("heisenberg/%s" % _field_tag(f), f, 3, entries, "heisenberg_lie")
 
 
-def _extraspecial_by_params(z_dim: int, f: Field) -> LeibnizAlgebra:
-    return extraspecial_plus_center(f, z_dim)
-
-
 # family id -> (constructor taking (*int_params, field), usage line)
 FAMILIES = {
     "abelian": (abelian, "abelian <n>"),
@@ -187,7 +183,7 @@ FAMILIES = {
     "family_nonlie_ii": (family_nonlie_ii, "family_nonlie_ii <k> <m>"),
     "family_sqrt": (family_sqrt, "family_sqrt <k> <m>"),
     "symmetric_iv": (symmetric_iv, "symmetric_iv <m>"),
-    "extraspecial_plus_center": (_extraspecial_by_params, "extraspecial_plus_center <z_dim>"),
+    "extraspecial_plus_center": (extraspecial_plus_center, "extraspecial_plus_center <z_dim>"),
     "heisenberg_lie": (heisenberg_lie, "heisenberg_lie"),
 }
 
@@ -248,7 +244,7 @@ def _base_members() -> List[LeibnizAlgebra]:
             members.append(symmetric_iv(m, f))
     for f in (f3, f5):
         for z in (0, 1):
-            members.append(extraspecial_plus_center(f, z))
+            members.append(extraspecial_plus_center(z, f))
     for f in (f2, f3, f5):
         members.append(heisenberg_lie(f))
     return members

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
@@ -77,6 +78,29 @@ class Field:
             return x
         return Fraction(x)
 
+    # Row arithmetic: one comprehension per row, reduced mod p once per entry.
+
+    def normalize_row(self, row) -> list:
+        """The row as field elements; only entries of an unexpected type call normalize()."""
+        p = self.p
+        if p is None:
+            return [x if type(x) is Fraction else self.normalize(x) for x in row]
+        return [x % p if type(x) is int else self.normalize(x) for x in row]
+
+    def scale_row(self, c: Scalar, row) -> list:
+        """c * row, for a normalized scalar and row."""
+        p = self.p
+        if p is None:
+            return [c * x for x in row]
+        return [c * x % p for x in row]
+
+    def sub_scaled_row(self, w, c: Scalar, row) -> list:
+        """w - c * row, for normalized scalars and rows."""
+        p = self.p
+        if p is None:
+            return [x - c * y for x, y in zip(w, row)]
+        return [(x - c * y) % p for x, y in zip(w, row)]
+
     def zero(self) -> Scalar:
         return 0 if self.p is not None else Fraction(0)
 
@@ -117,7 +141,8 @@ class Field:
             return self.normalize(Fraction(int(num), int(den)))
         return self.normalize(int(text))
 
-    def format_scalar(self, x: Scalar) -> str:
+    @staticmethod
+    def format_scalar(x: Scalar) -> str:
         if isinstance(x, Fraction) and x.denominator != 1:
             return "%d/%d" % (x.numerator, x.denominator)
         return str(int(x))
@@ -134,16 +159,12 @@ def vec_add(f: Field, u: Vector, v: Vector) -> Vector:
     return tuple(f.add(a, b) for a, b in zip(u, v))
 
 
-def vec_sub(f: Field, u: Vector, v: Vector) -> Vector:
-    return tuple(f.sub(a, b) for a, b in zip(u, v))
-
-
 def vec_scale(f: Field, c: Scalar, u: Vector) -> Vector:
     return tuple(f.mul(c, a) for a in u)
 
 
 def vec_is_zero(u: Vector) -> bool:
-    return all(not a for a in u)
+    return not any(u)
 
 
 def scalar_sort_key(x: Scalar):
@@ -154,7 +175,7 @@ def scalar_sort_key(x: Scalar):
 
 def rref(f: Field, rows: Sequence[Sequence[Scalar]]):
     """Reduced row echelon form.  Returns (rref_rows, rank); zero rows dropped."""
-    work = [list(f.normalize(x) for x in row) for row in rows]
+    work = [f.normalize_row(row) for row in rows]
     if work:
         ncols = len(work[0])
         if any(len(r) != ncols for r in work):
@@ -171,12 +192,10 @@ def rref(f: Field, rows: Sequence[Sequence[Scalar]]):
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = f.inv(work[rank][col])
-        work[rank] = [f.mul(inv, x) for x in work[rank]]
+        pivot = work[rank] = f.scale_row(f.inv(work[rank][col]), work[rank])
         for r in range(nrows):
             if r != rank and work[r][col]:
-                c = work[r][col]
-                work[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(work[r], work[rank])]
+                work[r] = f.sub_scaled_row(work[r], work[r][col], pivot)
         rank += 1
         if rank == nrows:
             break
@@ -224,7 +243,7 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def pivots(self) -> tuple:
         return _pivots_of(self.basis)
 
@@ -236,20 +255,23 @@ class Subspace:
         """Residual of v after subtracting its projection onto this subspace."""
         if len(v) != self.ambient_dim:
             raise LinalgError("vector length mismatch")
+        return tuple(self._residual(self.field.normalize_row(v)))
+
+    def _residual(self, w) -> list:
+        """reduce() for a vector of the right length that is already normalized."""
         f = self.field
-        w = list(f.normalize(x) for x in v)
         for row, piv in zip(self.basis, self.pivots):
             c = w[piv]
             if c:
-                w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
-        return tuple(w)
+                w = f.sub_scaled_row(w, c, row)
+        return w
 
     def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return not any(self.reduce(v))
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(other.contains(row) for row in self.basis)
+        return all(not any(other._residual(row)) for row in self.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -267,18 +289,16 @@ class Subspace:
             return other
         # Columns are the basis vectors of self and -other; a nullspace vector
         # (a | b) encodes an element sum(a_i u_i) = sum(b_j v_j) of the intersection.
-        rows = []
-        for coord in range(n):
-            row = [self.basis[i][coord] for i in range(ka)]
-            row += [f.neg(other.basis[j][coord]) for j in range(kb)]
-            rows.append(row)
+        minus_one = f.neg(f.one())
+        negated = [f.scale_row(minus_one, row) for row in other.basis]
+        rows = [a + b for a, b in zip(zip(*self.basis), zip(*negated))]
         vectors = []
         for coeffs in nullspace(f, rows):
             v = zero_vector(f, n)
             for i in range(ka):
                 if coeffs[i]:
-                    v = vec_add(f, v, vec_scale(f, coeffs[i], self.basis[i]))
-            vectors.append(v)
+                    v = f.sub_scaled_row(v, f.neg(coeffs[i]), self.basis[i])
+            vectors.append(tuple(v))
         return Subspace.span(f, n, vectors)
 
     def sort_key(self):
@@ -308,12 +328,13 @@ def nullspace(f: Field, rows: Sequence[Sequence[Scalar]]):
     reduced, _ = rref(f, rows)
     piv = _pivots_of(reduced)
     free = [j for j in range(ncols) if j not in piv]
+    minus_one = f.neg(f.one())
     basis = []
     for j in free:
         v = [f.zero()] * ncols
         v[j] = f.one()
-        for row, p in zip(reduced, piv):
-            v[p] = f.neg(row[j])
+        for p, x in zip(piv, f.scale_row(minus_one, [row[j] for row in reduced])):
+            v[p] = x
         basis.append(tuple(v))
     return basis
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Dict, List, Optional, Sequence
 
-from .linalg import BudgetExceeded, Subspace, vec_is_zero
+from .linalg import BudgetExceeded, Field, Subspace, vec_is_zero
 from .algebra import LeibnizAlgebra
 from . import lattice as lat_mod
 
@@ -49,21 +49,15 @@ def _jsonable(obj):
     if isinstance(obj, Subspace):
         return {
             "dim": obj.dim,
-            "basis": [[_scalar_str(x) for x in row] for row in obj.basis],
+            "basis": [[Field.format_scalar(x) for x in row] for row in obj.basis],
         }
     if isinstance(obj, (tuple, list)):
         if obj and all(isinstance(x, (int, Fraction)) for x in obj):
-            return [_scalar_str(x) for x in obj]
+            return [Field.format_scalar(x) for x in obj]
         return [_jsonable(x) for x in obj]
     if isinstance(obj, (int, Fraction)):
-        return _scalar_str(obj)
+        return Field.format_scalar(obj)
     return str(obj)
-
-
-def _scalar_str(x):
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
-    return str(x)
 
 
 class AlgebraAnalysis:

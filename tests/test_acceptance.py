@@ -262,7 +262,7 @@ def test_criterion_07_symmetric_modular(capsys):
         for m in (1, 2):
             members.append(catalog.symmetric_iv(m, f))
         for z in (0, 1):
-            members.append(catalog.extraspecial_plus_center(f, z))
+            members.append(catalog.extraspecial_plus_center(z, f))
     for l in members:
         an = AlgebraAnalysis(l)
         if not l.is_symmetric():

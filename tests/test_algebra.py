@@ -67,7 +67,7 @@ def test_is_lie_is_symmetric():
     assert catalog.almost_abelian_lie(3, F3).is_lie()
     assert not catalog.cyclic_nilpotent(2, F3).is_lie()
     assert catalog.symmetric_iv(1, F3).is_symmetric()
-    assert catalog.extraspecial_plus_center(F3, 0).is_symmetric()
+    assert catalog.extraspecial_plus_center(0, F3).is_symmetric()
     assert not catalog.almost_abelian_nonlie(2, F3).is_symmetric()
 
 

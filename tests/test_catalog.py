@@ -62,7 +62,7 @@ def test_symmetric_iv_is_symmetric():
 
 
 def test_extraspecial_detector_agrees():
-    l = catalog.extraspecial_plus_center(F3, 0)
+    l = catalog.extraspecial_plus_center(0, F3)
     assert l.classify_shape().tag == "extraspecial"
 
 

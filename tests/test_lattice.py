@@ -319,7 +319,7 @@ def test_usm_forms_agree():
         catalog.heisenberg_lie(F2),
         catalog.cyclic_solvable(3, F3),
         catalog.almost_abelian_nonlie(3, F3),
-        catalog.extraspecial_plus_center(F3, 1),
+        catalog.extraspecial_plus_center(1, F3),
     ):
         lat = enumerate_subalgebras(l)
         assert is_upper_semimodular(lat).holds == _usm_covering_oracle(lat)
@@ -393,6 +393,23 @@ def test_wqi_elementwise_witness_on_failing_algebras(field):
         x, y = verdict.witness
         w = l.bracket(x, y)
         assert not l.subalgebra_closure([x]).sum(l.subalgebra_closure([y])).contains(w)
+
+
+def test_lattice_scans_make_no_per_scalar_field_calls(monkeypatch):
+    # Rows are reduced by Field's row methods; a per-scalar loop creeping back
+    # into the subspace filter, the order build or the element scan shows here.
+    l = catalog.cyclic_solvable(3, F3)
+    calls = {}
+    for name in ("add", "sub", "mul", "normalize"):
+        def spy(self, *args, _name=name, _original=getattr(Field, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Field, name, spy)
+    enumerate_subalgebras(l)
+    wqi_elementwise(l)
+    assert calls == {}
+    assert F3.mul(2, 2) == 1 and calls == {"mul": 1}  # the spies are live
 
 
 def test_maximal_subalgebras_cyclic_solvable():

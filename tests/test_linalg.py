@@ -9,16 +9,18 @@ from leibnizlat import (
     Field,
     LinalgError,
     Subspace,
+    catalog,
     enumerate_subspaces,
     nullspace,
     rref,
     solve_linear,
 )
-from leibnizlat.linalg import subspace_count
+from leibnizlat.linalg import _pivots_of, subspace_count
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
+F31 = Field.prime(31)
 Q = Field.rational()
 
 
@@ -180,3 +182,159 @@ def test_enumerate_subspaces_budget_counts_subspaces():
 def test_enumerate_subspaces_rational_rejected():
     with pytest.raises(LinalgError):
         list(enumerate_subspaces(Q, 2))
+
+
+# -- per-scalar reference kernels ------------------------------------------
+# The library reduces whole rows per field. These are the loops it replaced,
+# one Field call per scalar; the row kernels must return the same values of
+# the same types.
+
+
+def _ref_rref(f, rows):
+    work = [list(f.normalize(x) for x in row) for row in rows]
+    if work and any(len(r) != len(work[0]) for r in work):
+        raise LinalgError("ragged matrix")
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, nrows) if work[r][col]), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = f.inv(work[rank][col])
+        work[rank] = [f.mul(inv, x) for x in work[rank]]
+        for r in range(nrows):
+            if r != rank and work[r][col]:
+                c = work[r][col]
+                work[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(work[r], work[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    result = tuple(tuple(row) for row in work[:rank] if any(row))
+    return result, len(result)
+
+
+def _ref_reduce(f, basis, v):
+    w = [f.normalize(x) for x in v]
+    for row, piv in zip(basis, _pivots_of(basis)):
+        c = w[piv]
+        if c:
+            w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
+    return tuple(w)
+
+
+def _ref_leq(f, a, b):
+    return all(not any(_ref_reduce(f, b, row)) for row in a)
+
+
+def _ref_nullspace(f, rows):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    reduced, _ = _ref_rref(f, rows)
+    piv = _pivots_of(reduced)
+    basis = []
+    for j in [j for j in range(ncols) if j not in piv]:
+        v = [f.zero()] * ncols
+        v[j] = f.one()
+        for row, p in zip(reduced, piv):
+            v[p] = f.neg(row[j])
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_intersection(f, n, a, b):
+    """RREF basis of span(a) ∩ span(b), for RREF bases a and b."""
+    if not a or not b:
+        return ()
+    if _ref_leq(f, a, b):
+        return a
+    if _ref_leq(f, b, a):
+        return b
+    rows = [[row[c] for row in a] + [f.neg(row[c]) for row in b] for c in range(n)]
+    vectors = []
+    for coeffs in _ref_nullspace(f, rows):
+        v = (f.zero(),) * n
+        for c, row in zip(coeffs, a):
+            if c:
+                v = tuple(f.add(x, f.mul(c, y)) for x, y in zip(v, row))
+        vectors.append(v)
+    return _ref_rref(f, vectors)[0]
+
+
+def _ref_bracket(f, table, x, y):
+    n = len(x)
+    out = [f.zero()] * n
+    for i in range(n):
+        for j in range(n):
+            if x[i] and y[j]:
+                coeff = f.mul(x[i], y[j])
+                for k in range(n):
+                    if table[i][j][k]:
+                        out[k] = f.add(out[k], f.mul(coeff, table[i][j][k]))
+    return tuple(out)
+
+
+ORACLE_FIELDS = (F2, F3, F5, F31, Q)
+
+
+def _scalar(f):
+    """Ints below 0 and at or above p; over F_5 also 3/2, which normalises to 4."""
+    if f == Q:
+        return st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5))
+    ints = st.integers(-2 * f.p, 3 * f.p)
+    return st.one_of(ints, st.just(Fraction(3, 2))) if f == F5 else ints
+
+
+@st.composite
+def _oracle_case(draw):
+    f = draw(st.sampled_from(ORACLE_FIELDS))
+    n = draw(st.integers(1, 5))
+    vec = st.lists(_scalar(f), min_size=n, max_size=n)
+    return f, n, draw(st.lists(vec, max_size=4)), draw(st.lists(vec, max_size=4)), draw(vec)
+
+
+@given(_oracle_case())
+@settings(max_examples=300, deadline=None)
+def test_row_kernels_match_per_scalar_reference(case):
+    f, n, rows, other, v = case
+    assert repr(rref(f, rows)) == repr(_ref_rref(f, rows))
+    assert repr(nullspace(f, rows)) == repr(_ref_nullspace(f, rows))
+    a, b = Subspace.span(f, n, rows), Subspace.span(f, n, other)
+    assert repr(a.reduce(v)) == repr(_ref_reduce(f, a.basis, v))
+    assert a.contains(v) == (not any(_ref_reduce(f, a.basis, v)))
+    assert a.leq(b) == _ref_leq(f, a.basis, b.basis)
+    assert repr(a.intersection(b).basis) == repr(_ref_intersection(f, n, a.basis, b.basis))
+
+
+_UNITRIANGULAR = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+BRACKET_ALGEBRAS = [
+    l.change_of_basis(_UNITRIANGULAR)  # dense tables
+    for f in ORACLE_FIELDS
+    for l in (catalog.cyclic_solvable(3, f), catalog.almost_abelian_nonlie(3, f))
+]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bracket_matches_per_scalar_reference(data):
+    l = data.draw(st.sampled_from(BRACKET_ALGEBRAS))
+    scalar = st.fractions(-3, 3, max_denominator=5) if l.field == Q else st.integers(-70, 100)
+    x, y = (tuple(data.draw(st.lists(scalar, min_size=3, max_size=3))) for _ in range(2))
+    assert repr(l.bracket(x, y)) == repr(_ref_bracket(l.field, l.table, x, y))
+
+
+def test_fraction_scalars_over_fp():
+    bad = [(Fraction(1, 5), 1)]
+    for kernel in (rref, _ref_rref):
+        with pytest.raises(LinalgError, match="mod 5"):
+            kernel(F5, bad)
+    with pytest.raises(LinalgError, match="mod 5"):
+        Subspace.full(F5, 2).reduce(bad[0])
+    assert rref(F5, [(Fraction(3, 2), 1)]) == (((1, 4),), 1)  # 3/2 = 4 and 1/4 = 4 mod 5
+
+
+def test_pivots_are_kept_with_each_subspace():
+    for s in enumerate_subspaces(F3, 3):
+        assert s.pivots == _pivots_of(s.basis)

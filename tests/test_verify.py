@@ -86,7 +86,7 @@ def test_rem_equiv_on_negative_control():
 def test_symmetric_modular_shape_tags():
     assert verify.symmetric_modular_shape(verify.AlgebraAnalysis(catalog.abelian(2, F3))) == "i"
     assert (
-        verify.symmetric_modular_shape(verify.AlgebraAnalysis(catalog.extraspecial_plus_center(F3, 0)))
+        verify.symmetric_modular_shape(verify.AlgebraAnalysis(catalog.extraspecial_plus_center(0, F3)))
         == "iii"
     )
     assert verify.symmetric_modular_shape(verify.AlgebraAnalysis(catalog.symmetric_iv(1, F5))) == "iv"
