@@ -13,7 +13,7 @@ import random
 from typing import Iterator, List
 
 from .linalg import Field, LinalgError, matrix_rank
-from .algebra import AlgebraError, LeibnizAlgebra, check_right_leibniz
+from .algebra import MAX_DIM, AlgebraError, LeibnizAlgebra, check_right_leibniz
 
 
 def _empty_table(f: Field, n: int):
@@ -26,6 +26,8 @@ def _freeze(table):
 
 
 def _build(name: str, f: Field, n: int, entries, family: str) -> LeibnizAlgebra:
+    if n > MAX_DIM:
+        raise AlgebraError("dimension %d is above the limit %d" % (n, MAX_DIM))
     table = _empty_table(f, n)
     for i, j, k, v in entries:
         table[i][j][k] = f.normalize(v)

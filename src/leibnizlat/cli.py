@@ -52,8 +52,10 @@ def _cmd_check(args) -> int:
     l = _load(args.file)
     print("name: %s" % l.name)
     print("right_leibniz: true")  # construction would have failed otherwise
-    print("left_leibniz: %s" % str(check_left_leibniz(l.field, l.table)).lower())
-    print("symmetric: %s" % str(l.is_symmetric()).lower())
+    # a right Leibniz algebra is symmetric exactly when the left identity holds too
+    left = str(check_left_leibniz(l.field, l.table)).lower()
+    print("left_leibniz: %s" % left)
+    print("symmetric: %s" % left)
     print("lie: %s" % str(l.is_lie()).lower())
     return EXIT_OK
 

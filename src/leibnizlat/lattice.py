@@ -19,7 +19,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import BudgetExceeded, Subspace, enumerate_subspaces, vec_is_zero
+from .linalg import BudgetExceeded, Subspace, enumerate_subspaces
 from .algebra import LeibnizAlgebra, StructureReport, UnsupportedFieldError
 
 DEFAULT_NODE_BUDGET = 5000
@@ -182,7 +182,7 @@ def _wqi_pair(l: LeibnizAlgebra, u: Subspace, v: Subspace) -> bool:
     for a in u.basis:
         for b in v.basis:
             for w in (l.bracket(a, b), l.bracket(b, a)):
-                if vec_is_zero(w):
+                if not any(w):
                     continue
                 if s is None:
                     s = u.sum(v)
@@ -231,7 +231,7 @@ def wqi_elementwise(l: LeibnizAlgebra, budget: int = 10 ** 6) -> Verdict:
     for x, gx in zip(lines, generated):
         for y, gy in zip(lines, generated):
             w = l.bracket(x, y)
-            if vec_is_zero(w):
+            if not any(w):
                 continue
             key = (gx.basis, gy.basis)
             s = sums.get(key)

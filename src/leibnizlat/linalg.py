@@ -127,9 +127,6 @@ class Field:
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a: Scalar) -> bool:
-        return not a
-
     def elements(self) -> Iterator[Scalar]:
         if self.p is None:
             raise LinalgError("cannot enumerate the rationals")
@@ -151,20 +148,11 @@ class Field:
         return "Field(F_%d)" % self.p if self.p is not None else "Field(Q)"
 
 
-def zero_vector(f: Field, n: int) -> Vector:
-    return (f.zero(),) * n
-
-
-def vec_add(f: Field, u: Vector, v: Vector) -> Vector:
-    return tuple(f.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(f: Field, c: Scalar, u: Vector) -> Vector:
-    return tuple(f.mul(c, a) for a in u)
-
-
-def vec_is_zero(u: Vector) -> bool:
-    return not any(u)
+def unit_vector(f: Field, n: int, i: int) -> Vector:
+    """The i-th standard basis vector of F^n."""
+    v = [f.zero()] * n
+    v[i] = f.one()
+    return tuple(v)
 
 
 def scalar_sort_key(x: Scalar):
@@ -235,9 +223,7 @@ class Subspace:
 
     @classmethod
     def full(cls, f: Field, n: int) -> "Subspace":
-        one, z = f.one(), f.zero()
-        rows = tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-        return cls(f, n, rows)
+        return cls(f, n, tuple(unit_vector(f, n, i) for i in range(n)))
 
     @property
     def dim(self) -> int:
@@ -292,13 +278,7 @@ class Subspace:
         minus_one = f.neg(f.one())
         negated = [f.scale_row(minus_one, row) for row in other.basis]
         rows = [a + b for a, b in zip(zip(*self.basis), zip(*negated))]
-        vectors = []
-        for coeffs in nullspace(f, rows):
-            v = zero_vector(f, n)
-            for i in range(ka):
-                if coeffs[i]:
-                    v = f.sub_scaled_row(v, f.neg(coeffs[i]), self.basis[i])
-            vectors.append(tuple(v))
+        vectors = [self.combination(coeffs[:ka]) for coeffs in nullspace(f, rows)]
         return Subspace.span(f, n, vectors)
 
     def sort_key(self):
@@ -310,11 +290,16 @@ class Subspace:
         if not f.is_prime_field:
             raise LinalgError("cannot enumerate a rational subspace")
         for coeffs in itertools.product(range(f.p), repeat=self.dim):
-            v = zero_vector(f, self.ambient_dim)
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    v = vec_add(f, v, vec_scale(f, c, row))
-            yield v
+            yield self.combination(coeffs)
+
+    def combination(self, coeffs: Sequence[Scalar]) -> Vector:
+        """sum(c_i * b_i) over the basis rows b_i, for normalized coefficients."""
+        f = self.field
+        v = [f.zero()] * self.ambient_dim
+        for c, row in zip(coeffs, self.basis):
+            if c:
+                v = f.sub_scaled_row(v, -c, row)  # v + c * row
+        return tuple(v)
 
     def __repr__(self):
         return "Subspace(dim=%d/%d, basis=%r)" % (self.dim, self.ambient_dim, self.basis)
@@ -331,8 +316,7 @@ def nullspace(f: Field, rows: Sequence[Sequence[Scalar]]):
     minus_one = f.neg(f.one())
     basis = []
     for j in free:
-        v = [f.zero()] * ncols
-        v[j] = f.one()
+        v = list(unit_vector(f, ncols, j))
         for p, x in zip(piv, f.scale_row(minus_one, [row[j] for row in reduced])):
             v[p] = x
         basis.append(tuple(v))
@@ -405,18 +389,13 @@ def enumerate_subspaces(f: Field, n: int, budget: int = 10 ** 6) -> Iterator[Sub
         yield from batch
 
 
-def identity_matrix(f: Field, n: int) -> Matrix:
-    one, z = f.one(), f.zero()
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-
-
 def matrix_rank(f: Field, rows: Sequence[Sequence[Scalar]]) -> int:
     return rref(f, rows)[1]
 
 
 def invert_matrix(f: Field, rows: Sequence[Sequence[Scalar]]) -> Matrix:
     n = len(rows)
-    augmented = [list(row) + list(identity_matrix(f, n)[i]) for i, row in enumerate(rows)]
+    augmented = [list(row) + list(unit_vector(f, n, i)) for i, row in enumerate(rows)]
     reduced, rank = rref(f, augmented)
     if rank < n or _pivots_of(reduced)[:n] != tuple(range(n)):
         raise LinalgError("matrix is singular")

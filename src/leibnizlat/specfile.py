@@ -15,7 +15,7 @@ import json
 from typing import Optional
 
 from .linalg import Field
-from .algebra import AlgebraError, LeibnizAlgebra
+from .algebra import MAX_DIM, AlgebraError, LeibnizAlgebra
 from .lattice import SubalgebraLattice, _bits
 
 SCHEMA_VERSION = 1
@@ -42,6 +42,8 @@ def parse_spec(text: str, family: Optional[str] = None) -> LeibnizAlgebra:
     dim = doc["dim"]
     if not _is_int(dim) or dim < 0:
         raise SpecError("'dim' must be a non-negative integer")
+    if dim > MAX_DIM:
+        raise SpecError("'dim' is %d, above the limit %d" % (dim, MAX_DIM))
     brackets = doc["brackets"]
     if not isinstance(brackets, list):
         raise SpecError("'brackets' must be a list")

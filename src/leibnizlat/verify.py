@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Dict, List, Optional, Sequence
 
-from .linalg import BudgetExceeded, Field, Subspace, vec_is_zero
+from .linalg import BudgetExceeded, Field, Subspace
 from .algebra import LeibnizAlgebra
 from . import lattice as lat_mod
 
@@ -178,7 +178,7 @@ class AlgebraAnalysis:
                 if Subspace.span(l.field, n, powers).dim != n:
                     continue
                 nxt = l.bracket(powers[-1], v)
-                if vec_is_zero(nxt):
+                if not any(nxt):
                     return "nilpotent"
                 if nxt == powers[-1]:
                     return "solvable"

@@ -131,14 +131,14 @@ def test_square_zero_rational_guard():
 
 
 def test_square_zero_lines_share_the_vector_budget():
-    # the line scan keeps the p^n bound and the message of the vector scan
+    # the line scans keep the p^n bound and the message of the vector scan
     l = catalog.heisenberg_lie(F3)
     messages = []
-    for scan in (l.square_zero_vectors, l.square_zero_lines):
+    for scan in (l.square_zero_vectors, l.square_zero_lines, l.is_supersolvable):
         with pytest.raises(BudgetExceeded) as exc:
             scan(26)
         messages.append(str(exc.value))
-    assert messages == ["p^n = 27 exceeds budget 26"] * 2
+    assert messages == ["p^n = 27 exceeds budget 26"] * 3
     assert len(l.square_zero_lines(27)) == 13  # [x,x] = 0 for every x in a Lie algebra
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from leibnizlat import Field, catalog, emit_spec
+from leibnizlat import Field, algebra, catalog, emit_spec
+from leibnizlat.algebra import MAX_DIM
 from leibnizlat.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 
 
@@ -13,11 +14,15 @@ def spec_path(tmp_path):
     return str(path)
 
 
-def test_check(spec_path, capsys):
+def test_check(spec_path, capsys, monkeypatch):
+    scans = []
+    scan = algebra.left_leibniz_violation
+    monkeypatch.setattr(algebra, "left_leibniz_violation", lambda *a: scans.append(a) or scan(*a))
     assert main(["check", spec_path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "right_leibniz: true" in out
-    assert "lie: false" in out
+    assert "left_leibniz: false\nsymmetric: false\nlie: false\n" in out
+    assert len(scans) == 1  # one left-identity scan prints both lines
 
 
 def test_check_bad_file(tmp_path, capsys):
@@ -32,8 +37,12 @@ def test_check_bad_file(tmp_path, capsys):
     [
         (lambda d: d.update(dim=True), "'dim' must be a non-negative integer"),
         (lambda d: d["brackets"].append(list(d["brackets"][0])), "duplicate entry"),
+        (
+            lambda d: d.update(dim=MAX_DIM + 1),
+            "'dim' is %d, above the limit %d" % (MAX_DIM + 1, MAX_DIM),
+        ),
     ],
-    ids=["dim-true", "duplicate"],
+    ids=["dim-true", "duplicate", "dim-above-limit"],
 )
 def test_check_rejects_malformed_spec(spec_path, mangle, fragment, capsys):
     with open(spec_path) as fh:
@@ -43,6 +52,14 @@ def test_check_rejects_malformed_spec(spec_path, mangle, fragment, capsys):
         json.dump(doc, fh)
     assert main(["check", spec_path]) == EXIT_INPUT_ERROR
     assert fragment in capsys.readouterr().err
+
+
+def test_check_accepts_dim_at_limit(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    doc = {"name": "empty", "field": {"type": "prime", "p": 2}, "dim": MAX_DIM, "brackets": []}
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == EXIT_OK
+    assert "symmetric: true" in capsys.readouterr().out
 
 
 def test_check_missing_file(capsys):
@@ -112,6 +129,10 @@ def test_catalog_emit_errors(capsys):
     assert main(["catalog", "emit", "family_sqrt", "1", "1", "--field", "p=2"]) == EXIT_INPUT_ERROR
     assert main(["catalog", "emit", "abelian", "x"]) == EXIT_INPUT_ERROR
     assert main(["catalog", "emit", "abelian", "2", "--field", "p=9"]) == EXIT_INPUT_ERROR
+    capsys.readouterr()
+    # the dimension k + m of a two-parameter family is capped like a spec's dim
+    assert main(["catalog", "emit", "family_nonlie_ii", "2", str(MAX_DIM - 1)]) == EXIT_INPUT_ERROR
+    assert "dimension %d is above the limit %d" % (MAX_DIM + 1, MAX_DIM) in capsys.readouterr().err
 
 
 def test_verify_corpus_requires_work_but_is_deterministic(tmp_path):

@@ -171,6 +171,7 @@ def test_square_zero_lines_match_vector_scan(base_members):
         vectors = l.square_zero_vectors()
         assert an.square_zero_lines == _square_zero_lines_oracle(l), l.name
         assert an.j_subalgebra == l.subalgebra_closure(vectors), l.name
+        assert l.square_zero_subalgebra() == l.subalgebra_closure(vectors), l.name
         # the span that cor-J-span compares with J
         span = Subspace.span(l.field, l.dim, an.square_zero_lines)
         assert span == Subspace.span(l.field, l.dim, vectors), l.name
