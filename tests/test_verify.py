@@ -1,9 +1,12 @@
 import collections
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from leibnizlat import Field, LeibnizAlgebra, Subspace, catalog, verify
+from leibnizlat.lattice import Verdict
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -263,3 +266,94 @@ def test_lem_cyclic_closes_each_line_once(base_members, monkeypatch):
         assert max(closed.values(), default=0) == 1, an.algebra.name
         forms[form] += 1
     assert forms["nilpotent"] and forms["solvable"] and forms[None], forms
+
+
+def _line(l, *row):
+    return Subspace.span(l.field, l.dim, [row])
+
+
+_HOLDS = Verdict(True, None)
+
+# One case per check: (check, algebra, planted analysis values, expected report).
+# The planted values make every hypothesis hold and the conclusion fail, so
+# each case reaches its check's fail branch; the two family checks cover the
+# two fail branches they share.
+_FAIL_CASES = [
+    ("thm-abalab", catalog.heisenberg_lie(F3),
+     lambda l: {"usm": _HOLDS, "j_shape": "nilpotent", "j_subalgebra": _line(l, 0, 0, 1)},
+     ("J has shape nilpotent", {"dim": 1, "basis": [["0", "0", "1"]]})),
+    ("prop-usm2", catalog.heisenberg_lie(F3),
+     lambda l: {"usm": _HOLDS},
+     ("L/I has shape extraspecial", {"dim": 0, "basis": []})),
+    ("thm-alab", catalog.heisenberg_lie(F3),
+     lambda l: {"usm": _HOLDS, "j_shape": "almost_abelian_lie", "j_subalgebra": _line(l, 0, 0, 1)},
+     ("J is proper", {"dim": 1, "basis": [["0", "0", "1"]]})),
+    ("thm-ideal", catalog.heisenberg_lie(F3),
+     lambda l: {"usm": _HOLDS, "j_subalgebra": _line(l, 1, 0, 0)},
+     ("J is not an ideal", {"dim": 1, "basis": [["1", "0", "0"]]})),
+    ("cor-J-span", catalog.heisenberg_lie(F3),
+     lambda l: {"usm": _HOLDS, "j_subalgebra": _line(l, 0, 0, 1)},
+     ("span of square-zero elements is not J",
+      {"dim": 3, "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})),
+    ("lem-two", catalog.heisenberg_lie(F3),
+     lambda l: {"usm": _HOLDS, "generated_by_square_zero_lines": lambda count: True},
+     ("dim L = 3", None)),
+    ("lem-three", catalog.heisenberg_lie(F3),
+     lambda l: {"usm": _HOLDS, "generated_by_square_zero_lines": lambda count: True},
+     ("center is nonzero", {"dim": 1, "basis": [["0", "0", "1"]]})),
+    ("lem-1dim", catalog.cyclic_solvable(2, F3),
+     lambda l: {"cyclic_generator": None},
+     ("dim L = 2", None)),
+    ("lem-kernel", catalog.heisenberg_lie(F3),
+     lambda l: {"frattini": l.zero_subspace(), "kernel": _line(l, 0, 0, 1)},
+     ("kernel of L/phi != I/phi", {"dim": 1, "basis": [["0", "0", "1"]]})),
+    ("lem-qi", catalog.cyclic_solvable(2, F3),
+     lambda l: {"wqi_all": Verdict(False, None)},
+     ("elementwise True vs subalgebra-level False", None)),
+    ("lem-wqi-phi", catalog.heisenberg_lie(F3),
+     lambda l: {"wqi_all": _HOLDS, "frattini": l.zero_subspace()},
+     ("L/phi has shape extraspecial", {"dim": 0, "basis": []})),
+    ("lem-cyclic", catalog.cyclic_nilpotent(2, F3),
+     lambda l: {"wqi_all": Verdict(False, None)},
+     ("canonical form match True vs all-WQI False", None)),
+    ("lem-int", catalog.heisenberg_lie(F3),
+     lambda l: {"wqi_all": _HOLDS, "kernel": l.zero_subspace()},
+     ("I ^ phi(L) = 0", {"dim": 1, "basis": [["0", "0", "1"]]})),
+    ("thm-nonlie-suff", catalog.almost_abelian_nonlie(2, F3),
+     lambda l: {"wqi_all": Verdict(False, (_line(l, 1, 0), _line(l, 0, 1)))},
+     ("not all subalgebras are WQI",
+      [{"dim": 1, "basis": [["1", "0"]]}, {"dim": 1, "basis": [["0", "1"]]}])),
+    ("thm-sqrt-suff", catalog.family_sqrt(1, 1, F3),
+     lambda l: {"frattini": l.full_subspace()},
+     ("L/phi has shape abelian, expected almost_abelian_lie", None)),
+    ("rem-equiv", catalog.heisenberg_lie(F3),
+     lambda l: {"modular": _HOLDS, "usm": _HOLDS, "wqi_all": Verdict(False, (_line(l, 0, 1, 0),))},
+     ("modular=True usm=True wqi=False", [{"dim": 1, "basis": [["0", "1", "0"]]}])),
+    ("thm-sym-suff", catalog.abelian(2, F3),
+     lambda l: {"modular": Verdict(False, (_line(l, 1, 0), _line(l, 0, 1)))},
+     ("not modular", [{"dim": 1, "basis": [["1", "0"]]}, {"dim": 1, "basis": [["0", "1"]]}])),
+]
+
+
+@pytest.mark.parametrize("cid,l,plant,expected", _FAIL_CASES, ids=[c[0] for c in _FAIL_CASES])
+def test_fail_branch(cid, l, plant, expected):
+    an = verify.AlgebraAnalysis(l)
+    # planted values shadow the cached properties and the instance's methods
+    an.__dict__.update(plant(l))
+    d = verify.run_check(cid, l, an).to_dict()
+    assert (d["status"], d["detail"], d["witness"]) == ("fail",) + expected
+
+
+def test_fail_cases_cover_every_check():
+    assert [c[0] for c in _FAIL_CASES] == list(verify.CHECKS)
+
+
+def test_every_report_matches_golden(base_members):
+    # pins every status, detail string and witness, where the corpus hash sums statuses
+    reports = []
+    for l in base_members:
+        an = verify.AlgebraAnalysis(l)
+        reports.extend(verify.run_check(cid, l, an).to_dict() for cid in verify.CHECKS)
+    assert len(reports) == 1462
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "635ce84ebe9a5c3a080e25497bf0a6bae1881fa69e75b2792dab756f31ed9531"
