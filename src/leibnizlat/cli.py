@@ -70,30 +70,27 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_lattice(args) -> int:
     l = _load(args.file)
-    lat = lat_mod.enumerate_subalgebras(l)
-    stats = lat_mod.lattice_stats(lat)
-    modular = lat_mod.is_modular(lat)
-    usm = lat_mod.is_upper_semimodular(lat)
-    lsm = lat_mod.is_lower_semimodular_lattice(lat)
-    wqi = lat_mod.all_subalgebras_wqi(l, lat)
+    # the verify cache decides modularity from the usm and lsm verdicts it keeps
+    an = verify_mod.AlgebraAnalysis(l)
+    stats = lat_mod.lattice_stats(an.lattice)
     for key in ("nodes", "height", "atoms", "coatoms"):
         print("%s: %d" % (key, stats[key]))
-    print("modular: %s" % str(modular.holds).lower())
-    print("upper_semimodular: %s" % str(usm.holds).lower())
-    print("lower_semimodular: %s" % str(lsm.holds).lower())
-    print("all_wqi: %s" % str(wqi.holds).lower())
-    print("frattini_dim: %d" % lat_mod.frattini_ideal(l, lat).dim)
+    print("modular: %s" % str(an.modular.holds).lower())
+    print("upper_semimodular: %s" % str(an.usm.holds).lower())
+    print("lower_semimodular: %s" % str(an.lsm.holds).lower())
+    print("all_wqi: %s" % str(an.wqi_all.holds).lower())
+    print("frattini_dim: %d" % an.frattini.dim)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(export_dot(lat))
+            fh.write(export_dot(an.lattice))
     if args.json:
         report = {
             "algebra": l.name,
             "stats": stats,
-            "modular": modular.holds,
-            "upper_semimodular": usm.holds,
-            "lower_semimodular": lsm.holds,
-            "all_wqi": wqi.holds,
+            "modular": an.modular.holds,
+            "upper_semimodular": an.usm.holds,
+            "lower_semimodular": an.lsm.holds,
+            "all_wqi": an.wqi_all.holds,
         }
         with open(args.json, "w") as fh:
             fh.write(export_json_report(report))

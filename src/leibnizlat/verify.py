@@ -1,10 +1,16 @@
 """Machine-checkable renderings of the named results, run over algebra corpora.
 
-Each check is a hypothesis list plus a conclusion.  A check never evaluates
-its conclusion when a hypothesis fails; it reports not_applicable with the
-failed hypothesis.  The checks verify conclusions of proved results, so a
-fail on a shipped corpus indicates an implementation bug and the witness
-localizes it.
+``CHECKS`` is built from one table of ``(id, hypotheses, conclusion)`` rows.
+A hypothesis is a ``(name, test)`` pair whose test takes the
+``AlgebraAnalysis``.  The hypotheses run in order, each only after the
+earlier ones hold; the first that fails makes the report not_applicable with
+detail "hypothesis failed: <name>", and the conclusion is never evaluated.
+A conclusion takes the analysis and returns None on a pass, or
+``(detail, witness)`` on a fail.  To add a check, add a row; a quantity that
+several checks read belongs on ``AlgebraAnalysis``, so it is computed once
+per algebra.  The checks verify conclusions of proved results, so a fail on
+a shipped corpus indicates an implementation bug and the witness localizes
+it.
 """
 
 from __future__ import annotations
@@ -127,6 +133,10 @@ class AlgebraAnalysis:
     def symmetric(self) -> bool:
         return self.algebra.is_symmetric()
 
+    @cached_property
+    def symmetric_shape(self) -> Optional[str]:
+        return symmetric_modular_shape(self)
+
     def quotient_shape(self, ideal: Subspace) -> str:
         return self.algebra.quotient(ideal).algebra.classify_shape().tag
 
@@ -226,314 +236,205 @@ def symmetric_modular_shape(a: AlgebraAnalysis) -> Optional[str]:
 # -- the check table -------------------------------------------------------
 
 
-def _report(a, check_id, status, detail="", witness=None):
-    return TheoremReport(a.algebra.name, check_id, status, detail, witness)
+def _check(check_id, hypotheses, conclusion):
+    """The callable for one table row: hypotheses in order, then the conclusion."""
+
+    def run(a: AlgebraAnalysis) -> TheoremReport:
+        name = a.algebra.name
+        # each test runs only after the earlier hypotheses hold
+        for hypothesis, test in hypotheses:
+            if not test(a):
+                detail = "hypothesis failed: %s" % hypothesis
+                return TheoremReport(name, check_id, "not_applicable", detail)
+        failure = conclusion(a)
+        if failure is None:
+            return TheoremReport(name, check_id, "pass")
+        return TheoremReport(name, check_id, "fail", *failure)
+
+    return run
 
 
-def _with_hypotheses(a, check_id, hypotheses, conclusion):
-    # each test runs only after the earlier hypotheses hold
-    for name, test in hypotheses:
-        if not test(a):
-            return _report(a, check_id, "not_applicable", "hypothesis failed: %s" % name)
-    return conclusion()
+def _nonabelian(a):
+    full = a.algebra.full_subspace()
+    return a.algebra.product_space(full, full).dim > 0
 
 
+def _element_scan_fits(a):
+    f = a.algebra.field
+    return f.is_prime_field and f.p ** (2 * a.algebra.dim) <= a.elementwise_budget
+
+
+def _proper_subalgebras_1dim(a):
+    return all(s.dim == 1 for s in a.lattice.nodes if 0 < s.dim < a.algebra.dim)
+
+
+def _generated_by_lines(count, words):
+    return (
+        "generated by %s distinct square-zero lines" % words,
+        lambda a: len(a.square_zero_lines) >= count and a.generated_by_square_zero_lines(count),
+    )
+
+
+def _covered_family(*families):
+    return ("built by a covered family constructor", lambda a: a.algebra.family in families)
+
+
+# Hypotheses: (name, test), the test taking the AlgebraAnalysis.
 _SOLVABLE = ("solvable", lambda a: a.solvable)
 _USM = ("upper semi-modular", lambda a: a.usm.holds)
 _ODD_CHARACTERISTIC = ("characteristic != 2", lambda a: a.algebra.field.characteristic != 2)
 _ALL_WQI = ("all subalgebras WQI", lambda a: a.wqi_all.holds)
+_J_ALMOST_ABELIAN = (
+    "J almost abelian",
+    lambda a: a.j_shape in ("almost_abelian_lie", "almost_abelian_nonlie"),
+)
+_NONABELIAN = ("non-abelian", _nonabelian)
+_DIM_AT_LEAST_2 = ("dim >= 2", lambda a: a.algebra.dim >= 2)
+_PROPER_1DIM = ("all proper nonzero subalgebras 1-dim", _proper_subalgebras_1dim)
+_PHI_IN_KERNEL = ("phi(L) <= I", lambda a: a.frattini.leq(a.kernel))
+_ELEMENT_SCAN = ("element-scan budget", _element_scan_fits)
+_CYCLIC = ("cyclic", lambda a: a.cyclic_generator is not None)
+_PHI_NONZERO = ("phi(L) != 0", lambda a: a.frattini.dim > 0)
+_SYMMETRIC = ("symmetric", lambda a: a.symmetric)
+_SYMMETRIC_SHAPE = ("matches a modular symmetric shape", lambda a: a.symmetric_shape is not None)
 
 
-def _check_thm_abalab(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        if a.j_shape in ALMOST_OR_ABELIAN:
-            return _report(a, "thm-abalab", "pass")
-        return _report(a, "thm-abalab", "fail", "J has shape %s" % a.j_shape, a.j_subalgebra)
-
-    return _with_hypotheses(a, "thm-abalab", [_SOLVABLE, _USM], concl)
+# Conclusions: each returns None when it holds, else (detail, witness).
 
 
-def _check_prop_usm2(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        tag = a.quotient_shape(a.kernel)
-        if tag in ALMOST_OR_ABELIAN:
-            return _report(a, "prop-usm2", "pass")
-        return _report(a, "prop-usm2", "fail", "L/I has shape %s" % tag, a.kernel)
-
-    return _with_hypotheses(a, "prop-usm2", [_SOLVABLE, _USM], concl)
+def _j_almost_or_abelian(a):
+    if a.j_shape not in ALMOST_OR_ABELIAN:
+        return "J has shape %s" % a.j_shape, a.j_subalgebra
 
 
-def _check_thm_alab(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        if a.j_subalgebra.dim == a.algebra.dim:
-            return _report(a, "thm-alab", "pass")
-        return _report(a, "thm-alab", "fail", "J is proper", a.j_subalgebra)
-
-    return _with_hypotheses(
-        a,
-        "thm-alab",
-        [
-            _SOLVABLE,
-            _USM,
-            (
-                "J almost abelian",
-                lambda a: a.j_shape in ("almost_abelian_lie", "almost_abelian_nonlie"),
-            ),
-        ],
-        concl,
-    )
+def _kernel_quotient_almost_or_abelian(a):
+    tag = a.quotient_shape(a.kernel)
+    if tag not in ALMOST_OR_ABELIAN:
+        return "L/I has shape %s" % tag, a.kernel
 
 
-def _check_thm_ideal(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        if a.algebra.is_ideal(a.j_subalgebra):
-            return _report(a, "thm-ideal", "pass")
-        return _report(a, "thm-ideal", "fail", "J is not an ideal", a.j_subalgebra)
-
-    return _with_hypotheses(a, "thm-ideal", [_SOLVABLE, _USM, _ODD_CHARACTERISTIC], concl)
+def _j_is_everything(a):
+    if a.j_subalgebra.dim != a.algebra.dim:
+        return "J is proper", a.j_subalgebra
 
 
-def _check_cor_j_span(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        l = a.algebra
-        span = Subspace.span(l.field, l.dim, a.square_zero_lines)
-        if span == a.j_subalgebra:
-            return _report(a, "cor-J-span", "pass")
-        return _report(a, "cor-J-span", "fail", "span of square-zero elements is not J", span)
-
-    return _with_hypotheses(a, "cor-J-span", [_SOLVABLE, _USM], concl)
+def _j_is_ideal(a):
+    if not a.algebra.is_ideal(a.j_subalgebra):
+        return "J is not an ideal", a.j_subalgebra
 
 
-def _check_lem_two(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        if a.algebra.dim == 2:
-            return _report(a, "lem-two", "pass")
-        return _report(a, "lem-two", "fail", "dim L = %d" % a.algebra.dim)
-
-    return _with_hypotheses(
-        a,
-        "lem-two",
-        [
-            _SOLVABLE,
-            _USM,
-            (
-                "generated by two distinct square-zero lines",
-                lambda a: len(a.square_zero_lines) >= 2 and a.generated_by_square_zero_lines(2),
-            ),
-        ],
-        concl,
-    )
-
-
-def _check_lem_three(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        if a.algebra.center().dim == 0:
-            return _report(a, "lem-three", "pass")
-        return _report(a, "lem-three", "fail", "center is nonzero", a.algebra.center())
-
-    def nonabelian(a):
-        full = a.algebra.full_subspace()
-        return a.algebra.product_space(full, full).dim > 0
-
-    return _with_hypotheses(
-        a,
-        "lem-three",
-        [
-            _SOLVABLE,
-            _USM,
-            ("non-abelian", nonabelian),
-            (
-                "generated by three distinct square-zero lines",
-                lambda a: len(a.square_zero_lines) >= 3 and a.generated_by_square_zero_lines(3),
-            ),
-        ],
-        concl,
-    )
-
-
-def _check_lem_1dim(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        l = a.algebra
-        if l.dim == 2 and (l.is_lie() or a.cyclic_generator is not None):
-            return _report(a, "lem-1dim", "pass")
-        return _report(a, "lem-1dim", "fail", "dim L = %d" % l.dim)
-
-    return _with_hypotheses(
-        a,
-        "lem-1dim",
-        [
-            _SOLVABLE,
-            ("dim >= 2", lambda a: a.algebra.dim >= 2),
-            (
-                "all proper nonzero subalgebras 1-dim",
-                lambda a: all(s.dim == 1 for s in a.lattice.nodes if 0 < s.dim < a.algebra.dim),
-            ),
-        ],
-        concl,
-    )
-
-
-def _check_lem_kernel(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        l = a.algebra
-        quotient, project = l.quotient(a.frattini)
-        projected = Subspace.span(
-            l.field, quotient.dim, [project(b) for b in a.kernel.basis]
-        )
-        if quotient.leibniz_kernel() == projected:
-            return _report(a, "lem-kernel", "pass")
-        return _report(a, "lem-kernel", "fail", "kernel of L/phi != I/phi", projected)
-
-    return _with_hypotheses(
-        a, "lem-kernel", [("phi(L) <= I", lambda a: a.frattini.leq(a.kernel))], concl
-    )
-
-
-def _check_lem_qi(a: AlgebraAnalysis) -> TheoremReport:
+def _j_is_span(a):
     l = a.algebra
-    if (
-        not l.field.is_prime_field
-        or l.field.p ** (2 * l.dim) > a.elementwise_budget
-    ):
-        return _report(a, "lem-qi", "not_applicable", "hypothesis failed: element-scan budget")
-    elementwise = lat_mod.wqi_elementwise(l, budget=a.elementwise_budget)
-    if elementwise.holds == a.wqi_all.holds:
-        return _report(a, "lem-qi", "pass")
-    return _report(
-        a,
-        "lem-qi",
-        "fail",
-        "elementwise %s vs subalgebra-level %s" % (elementwise.holds, a.wqi_all.holds),
-        elementwise.witness or a.wqi_all.witness,
-    )
+    span = Subspace.span(l.field, l.dim, a.square_zero_lines)
+    if span != a.j_subalgebra:
+        return "span of square-zero elements is not J", span
 
 
-def _check_lem_wqi_phi(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        tag = a.quotient_shape(a.frattini)
-        if tag in ALMOST_OR_ABELIAN:
-            return _report(a, "lem-wqi-phi", "pass")
-        return _report(a, "lem-wqi-phi", "fail", "L/phi has shape %s" % tag, a.frattini)
-
-    return _with_hypotheses(a, "lem-wqi-phi", [_ALL_WQI], concl)
+def _dim_two(a):
+    if a.algebra.dim != 2:
+        return "dim L = %d" % a.algebra.dim, None
 
 
-def _check_lem_cyclic(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        matches = a.cyclic_canonical_form() is not None
-        if matches == a.wqi_all.holds:
-            return _report(a, "lem-cyclic", "pass")
-        return _report(
-            a,
-            "lem-cyclic",
-            "fail",
-            "canonical form match %s vs all-WQI %s" % (matches, a.wqi_all.holds),
-        )
-
-    return _with_hypotheses(
-        a, "lem-cyclic", [("cyclic", lambda a: a.cyclic_generator is not None)], concl
-    )
+def _centerless(a):
+    center = a.algebra.center()
+    if center.dim > 0:
+        return "center is nonzero", center
 
 
-def _check_lem_int(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        if a.kernel.intersection(a.frattini).dim > 0:
-            return _report(a, "lem-int", "pass")
-        return _report(a, "lem-int", "fail", "I ^ phi(L) = 0", a.frattini)
-
-    return _with_hypotheses(
-        a, "lem-int", [_ALL_WQI, ("phi(L) != 0", lambda a: a.frattini.dim > 0)], concl
-    )
+def _dim_two_lie_or_cyclic(a):
+    l = a.algebra
+    if not (l.dim == 2 and (l.is_lie() or a.cyclic_generator is not None)):
+        return "dim L = %d" % l.dim, None
 
 
-def _family_sufficiency(a, check_id, families, expected_shape):
-    def concl():
+def _kernel_passes_to_quotient(a):
+    l = a.algebra
+    quotient, project = l.quotient(a.frattini)
+    projected = Subspace.span(l.field, quotient.dim, [project(b) for b in a.kernel.basis])
+    if quotient.leibniz_kernel() != projected:
+        return "kernel of L/phi != I/phi", projected
+
+
+def _elementwise_agrees(a):
+    elementwise = lat_mod.wqi_elementwise(a.algebra, budget=a.elementwise_budget)
+    if elementwise.holds != a.wqi_all.holds:
+        detail = "elementwise %s vs subalgebra-level %s" % (elementwise.holds, a.wqi_all.holds)
+        return detail, elementwise.witness or a.wqi_all.witness
+
+
+def _phi_quotient_almost_or_abelian(a):
+    tag = a.quotient_shape(a.frattini)
+    if tag not in ALMOST_OR_ABELIAN:
+        return "L/phi has shape %s" % tag, a.frattini
+
+
+def _canonical_form_iff_wqi(a):
+    matches = a.cyclic_canonical_form() is not None
+    if matches != a.wqi_all.holds:
+        return "canonical form match %s vs all-WQI %s" % (matches, a.wqi_all.holds), None
+
+
+def _kernel_meets_phi(a):
+    if a.kernel.intersection(a.frattini).dim == 0:
+        return "I ^ phi(L) = 0", a.frattini
+
+
+def _all_wqi_with_phi_quotient(expected_shape):
+    def conclusion(a):
         if not a.wqi_all.holds:
-            return _report(
-                a, check_id, "fail", "not all subalgebras are WQI", a.wqi_all.witness
-            )
+            return "not all subalgebras are WQI", a.wqi_all.witness
         tag = a.quotient_shape(a.frattini)
         if tag != expected_shape:
-            return _report(
-                a, check_id, "fail", "L/phi has shape %s, expected %s" % (tag, expected_shape)
-            )
-        return _report(a, check_id, "pass")
+            return "L/phi has shape %s, expected %s" % (tag, expected_shape), None
 
-    hyps = [("built by a covered family constructor", lambda a: a.algebra.family in families)]
-    if check_id == "thm-sqrt-suff":
-        hyps.append(_ODD_CHARACTERISTIC)
-    return _with_hypotheses(a, check_id, hyps, concl)
+    return conclusion
 
 
-def _check_thm_nonlie_suff(a: AlgebraAnalysis) -> TheoremReport:
-    return _family_sufficiency(
-        a,
-        "thm-nonlie-suff",
-        ("almost_abelian_nonlie", "family_nonlie_ii"),
-        "almost_abelian_nonlie",
-    )
+def _conditions_agree(a):
+    verdicts = (a.modular.holds, a.usm.holds, a.wqi_all.holds)
+    if len(set(verdicts)) > 1:
+        witness = a.modular.witness or a.usm.witness or a.wqi_all.witness
+        return "modular=%s usm=%s wqi=%s" % verdicts, witness
 
 
-def _check_thm_sqrt_suff(a: AlgebraAnalysis) -> TheoremReport:
-    return _family_sufficiency(
-        a, "thm-sqrt-suff", ("almost_abelian_lie", "family_sqrt"), "almost_abelian_lie"
-    )
-
-
-def _check_rem_equiv(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        verdicts = (a.modular.holds, a.usm.holds, a.wqi_all.holds)
-        if len(set(verdicts)) == 1:
-            return _report(a, "rem-equiv", "pass")
-        return _report(
-            a,
-            "rem-equiv",
-            "fail",
-            "modular=%s usm=%s wqi=%s" % verdicts,
-            a.modular.witness or a.usm.witness or a.wqi_all.witness,
-        )
-
-    return _with_hypotheses(a, "rem-equiv", [_SOLVABLE], concl)
-
-
-def _check_thm_sym_suff(a: AlgebraAnalysis) -> TheoremReport:
-    def concl():
-        if a.modular.holds:
-            return _report(a, "thm-sym-suff", "pass")
-        return _report(a, "thm-sym-suff", "fail", "not modular", a.modular.witness)
-
-    return _with_hypotheses(
-        a,
-        "thm-sym-suff",
-        [
-            ("symmetric", lambda a: a.symmetric),
-            (
-                "matches a modular symmetric shape",
-                lambda a: symmetric_modular_shape(a) is not None,
-            ),
-        ],
-        concl,
-    )
+def _modular(a):
+    if not a.modular.holds:
+        return "not modular", a.modular.witness
 
 
 CHECKS = {
-    "thm-abalab": _check_thm_abalab,
-    "prop-usm2": _check_prop_usm2,
-    "thm-alab": _check_thm_alab,
-    "thm-ideal": _check_thm_ideal,
-    "cor-J-span": _check_cor_j_span,
-    "lem-two": _check_lem_two,
-    "lem-three": _check_lem_three,
-    "lem-1dim": _check_lem_1dim,
-    "lem-kernel": _check_lem_kernel,
-    "lem-qi": _check_lem_qi,
-    "lem-wqi-phi": _check_lem_wqi_phi,
-    "lem-cyclic": _check_lem_cyclic,
-    "lem-int": _check_lem_int,
-    "thm-nonlie-suff": _check_thm_nonlie_suff,
-    "thm-sqrt-suff": _check_thm_sqrt_suff,
-    "rem-equiv": _check_rem_equiv,
-    "thm-sym-suff": _check_thm_sym_suff,
+    check_id: _check(check_id, hypotheses, conclusion)
+    for check_id, hypotheses, conclusion in [
+        ("thm-abalab", [_SOLVABLE, _USM], _j_almost_or_abelian),
+        ("prop-usm2", [_SOLVABLE, _USM], _kernel_quotient_almost_or_abelian),
+        ("thm-alab", [_SOLVABLE, _USM, _J_ALMOST_ABELIAN], _j_is_everything),
+        ("thm-ideal", [_SOLVABLE, _USM, _ODD_CHARACTERISTIC], _j_is_ideal),
+        ("cor-J-span", [_SOLVABLE, _USM], _j_is_span),
+        ("lem-two", [_SOLVABLE, _USM, _generated_by_lines(2, "two")], _dim_two),
+        (
+            "lem-three",
+            [_SOLVABLE, _USM, _NONABELIAN, _generated_by_lines(3, "three")],
+            _centerless,
+        ),
+        ("lem-1dim", [_SOLVABLE, _DIM_AT_LEAST_2, _PROPER_1DIM], _dim_two_lie_or_cyclic),
+        ("lem-kernel", [_PHI_IN_KERNEL], _kernel_passes_to_quotient),
+        ("lem-qi", [_ELEMENT_SCAN], _elementwise_agrees),
+        ("lem-wqi-phi", [_ALL_WQI], _phi_quotient_almost_or_abelian),
+        ("lem-cyclic", [_CYCLIC], _canonical_form_iff_wqi),
+        ("lem-int", [_ALL_WQI, _PHI_NONZERO], _kernel_meets_phi),
+        (
+            "thm-nonlie-suff",
+            [_covered_family("almost_abelian_nonlie", "family_nonlie_ii")],
+            _all_wqi_with_phi_quotient("almost_abelian_nonlie"),
+        ),
+        (
+            "thm-sqrt-suff",
+            [_covered_family("almost_abelian_lie", "family_sqrt"), _ODD_CHARACTERISTIC],
+            _all_wqi_with_phi_quotient("almost_abelian_lie"),
+        ),
+        ("rem-equiv", [_SOLVABLE], _conditions_agree),
+        ("thm-sym-suff", [_SYMMETRIC, _SYMMETRIC_SHAPE], _modular),
+    ]
 }
 
 
@@ -575,7 +476,7 @@ def run_suite(
             if (
                 analysis.symmetric
                 and analysis.modular.holds
-                and symmetric_modular_shape(analysis) is None
+                and analysis.symmetric_shape is None
             ):
                 notes.append(
                     "modular symmetric algebra outside the classified shapes: %s" % l.name

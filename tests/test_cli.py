@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from leibnizlat import Field, algebra, catalog, emit_spec
+from leibnizlat import Field, algebra, catalog, emit_spec, lattice
 from leibnizlat.algebra import MAX_DIM
 from leibnizlat.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 
@@ -73,10 +73,18 @@ def test_analyze(spec_path, capsys):
     assert "dim_frattini: 1" in out
 
 
-def test_lattice_with_exports(spec_path, tmp_path, capsys):
+def test_lattice_with_exports(spec_path, tmp_path, capsys, monkeypatch):
+    scans = []
+    for name in ("is_upper_semimodular", "is_lower_semimodular_lattice"):
+        scan = getattr(lattice, name)
+        monkeypatch.setattr(
+            lattice, name, lambda lat, name=name, scan=scan: scans.append(name) or scan(lat)
+        )
     dot = tmp_path / "lat.dot"
     js = tmp_path / "lat.json"
     assert main(["lattice", spec_path, "--dot", str(dot), "--json", str(js)]) == EXIT_OK
+    # modularity is read off the two semimodularity verdicts, so each scan runs once
+    assert sorted(scans) == ["is_lower_semimodular_lattice", "is_upper_semimodular"]
     out = capsys.readouterr().out
     assert "nodes: 8" in out
     assert "modular: true" in out

@@ -47,3 +47,38 @@ def test_every_export_resolves():
     assert len(set(leibnizlat.__all__)) == len(leibnizlat.__all__)
     missing = [name for name in leibnizlat.__all__ if not hasattr(leibnizlat, name)]
     assert missing == []
+
+
+def _private_definitions(tree):
+    """(name, line) for every ``_``-prefixed, non-dunder def, class or module-level name."""
+    defined = [
+        (node.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(n, line) for n, line in defined if n.startswith("_") and not n.startswith("__")]
+
+
+def _loaded_names(tree):
+    """Every name read as a bare name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_private_definition_is_loaded():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    loaded = {name for tree in trees.values() for name in _loaded_names(tree)}
+    dead = [
+        "%s:%d %s" % (module, line, name)
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in loaded
+    ]
+    assert dead == [], "private names defined but never read: %s" % ", ".join(dead)

@@ -96,6 +96,21 @@ def test_symmetric_modular_shape_tags():
     assert verify.symmetric_modular_shape(verify.AlgebraAnalysis(catalog.heisenberg_lie(F3))) is None
 
 
+def test_symmetric_modular_shape_once_per_algebra(monkeypatch):
+    calls = collections.Counter()
+    original = verify.symmetric_modular_shape
+
+    def spy(a):
+        calls[a.algebra.name] += 1
+        return original(a)
+
+    monkeypatch.setattr(verify, "symmetric_modular_shape", spy)
+    # symmetric and modular: thm-sym-suff and the suite's note both read the shape
+    algebras = [catalog.abelian(2, F3), catalog.symmetric_iv(1, F5)]
+    assert verify.run_suite(algebras)["ok"]
+    assert calls == {l.name: 1 for l in algebras}
+
+
 def test_report_serialization():
     r = verify.run_check("lem-kernel", catalog.cyclic_nilpotent(2, F3))
     d = r.to_dict()
