@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,7 @@ from leibnizlat import (
     check_left_leibniz,
     check_right_leibniz,
 )
+from leibnizlat.linalg import matrix_rank
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -232,6 +235,35 @@ def test_supersolvable():
     assert catalog.heisenberg_lie(F3).is_supersolvable()
 
 
+def _supersolvable_backtracking_oracle(l):
+    """A complete flag of ideals, searched by trying every 1-dim ideal at every level."""
+    if l.dim == 0:
+        return True
+    for v in l.monic_lines():
+        line = Subspace.span(l.field, l.dim, [v])
+        if l.is_ideal(line) and _supersolvable_backtracking_oracle(l.quotient(line).algebra):
+            return True
+    return False
+
+
+def _sl2_plus_abelian(k, f):
+    """sl2 on e, f, h ([e,f] = h, [h,e] = 2e, [h,f] = -2f) plus a central k-dim ideal."""
+    n = 3 + k
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, m, c in [(0, 1, 2, 1), (2, 0, 0, 2), (2, 1, 1, -2)]:
+        table[i][j][m] = c % f.p
+        table[j][i][m] = -c % f.p
+    return LeibnizAlgebra("sl2+abelian(%d)/F%d" % (k, f.p), f, n, table)
+
+
+def test_supersolvable_matches_backtracking_oracle():
+    members = [l for l in catalog.corpus(7) if "@basis" not in l.name]
+    members += [_sl2_plus_abelian(k, F3) for k in range(4)]
+    verdicts = [l.is_supersolvable() for l in members]
+    assert verdicts == [_supersolvable_backtracking_oracle(l) for l in members]
+    assert verdicts.count(False) == 4  # the sl2 cases; every base member is supersolvable
+
+
 def test_change_of_basis_roundtrip():
     l = catalog.family_sqrt(2, 2, F3)
     rng = random.Random(13)
@@ -264,3 +296,46 @@ def test_product_space_spans_brackets():
     full = l.full_subspace()
     l2 = l.product_space(full, full)
     assert l2 == Subspace.span(F2, 3, [(0, 0, 1)])
+
+
+def _derived_algebras(l):
+    """Quotients by and restrictions to the kernel, the center and L^2, with the projections."""
+    full = l.full_subspace()
+    out = []
+    for ideal in (l.leibniz_kernel(), l.center(), l.product_space(full, full)):
+        q = l.quotient(ideal)
+        r = l.restrict(ideal)
+        projected = [q.project(l.basis_vector(i)) for i in range(l.dim)]
+        out.append((q.algebra.name, q.algebra.table, projected, r.name, r.family, r.table))
+    return out
+
+
+def _rational_bases(n, count, rng):
+    """Invertible matrices over Q with small integer and half-integer entries."""
+    q = Field.rational()
+    entries = [Fraction(k, d) for k in range(-3, 4) for d in (1, 2)]
+    while count:
+        rows = tuple(tuple(rng.choice(entries) for _ in range(n)) for _ in range(n))
+        if matrix_rank(q, rows) == n:
+            count -= 1
+            yield rows
+
+
+def test_derived_algebra_tables_match_golden():
+    # change_of_basis (the corpus basis copies), quotient and restrict: names,
+    # families, tables and projections, with repr pinning int vs Fraction entries
+    records = []
+    for l in catalog.corpus(7):
+        records.append((l.name, l.family, l.table, _derived_algebras(l)))
+    assert len(records) == 305
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "ea8d5ed3696050a61f0549087b772e6ff96ad0c616dbd60d2c8fb0e5bd762335"
+    base = catalog.cyclic_solvable(4, Field.rational())
+    records = []
+    for p in _rational_bases(4, 4, random.Random(41)):
+        moved = base.change_of_basis(p)
+        records.append((moved.name, moved.family, moved.table, _derived_algebras(moved)))
+    entries = [x for _, _, table, _ in records for plane in table for row in plane for x in row]
+    assert all(type(x) is Fraction for x in entries)
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "c44815ab2414d07c272cfd01d137f1823cdcc0fd0e0df1343f22095a1686582f"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -46,17 +47,43 @@ def _wqi_node_pair_oracle(l, lat):
 
 
 def _modular_triple_oracle(lat):
-    """<U,V> ^ W = <U, V ^ W> over every node triple with U <= W."""
+    """The first node triple (U, V, W), U <= W, with <U,V> ^ W != <U, V ^ W>, or None.
+
+    Triples run in (u, v, w) index order, so a failure's witness is the first
+    failing triple of that scan: the witness the library reports.
+    """
     n = len(lat)
+    above = [[w for w in range(n) if lat.leq(u, w)] for u in range(n)]
     for u in range(n):
-        for w in range(n):
-            if not lat.leq(u, w):
-                continue
-            for v in range(n):
-                left = lat.meet_index(lat.join_index(u, v), w)
-                if left != lat.join_index(u, lat.meet_index(v, w)):
-                    return False
-    return True
+        for v in range(n):
+            join = lat.join_index(u, v)
+            for w in above[u]:
+                if lat.meet_index(join, w) != lat.join_index(u, lat.meet_index(v, w)):
+                    return (lat.nodes[u], lat.nodes[v], lat.nodes[w])
+    return None
+
+
+def _semimodular_pair_oracle(lat, upper):
+    """The upper (or lower) semimodular pair scan, written out once per dual.
+
+    Upper: the first node pair (U, B) with U ^ B covered by B while U is not
+    covered by <U,B>. Lower: the first with B covered by <U,B> while U ^ B is
+    not covered by U.
+    """
+    n = len(lat)
+    if upper:
+        for u in range(n):
+            for b in range(n):
+                m = lat.meet_index(u, b)
+                if lat.covered_by(m, b) and not lat.covered_by(u, lat.join_index(u, b)):
+                    return (False, (lat.nodes[u], lat.nodes[b]))
+    else:
+        for u in range(n):
+            for b in range(n):
+                j = lat.join_index(u, b)
+                if lat.covered_by(b, j) and not lat.covered_by(lat.meet_index(u, b), u):
+                    return (False, (lat.nodes[u], lat.nodes[b]))
+    return (True, None)
 
 
 def _usm_covering_oracle(lat):
@@ -141,7 +168,7 @@ def test_modular_matches_triple_oracle(base_lattices):
     failing = set()
     for l, lat in base_lattices:
         verdict = is_modular(lat)
-        assert verdict.holds == _modular_triple_oracle(lat), l.name
+        assert verdict.holds == (_modular_triple_oracle(lat) is None), l.name
         if not verdict.holds:
             failing.add(l.name)
             u, v, w = verdict.witness
@@ -216,7 +243,7 @@ def test_modular_needs_lower_semimodularity():
     assert is_upper_semimodular(lat).holds and _usm_covering_oracle(lat)
     assert not is_lower_semimodular_lattice(lat).holds
     verdict = is_modular(lat)
-    assert not verdict.holds and not _modular_triple_oracle(lat)
+    assert not verdict.holds and _modular_triple_oracle(lat) is not None
     u, v, w = (lat.index_of(x) for x in verdict.witness)
     assert lat.leq(u, w)
     assert lat.meet_index(lat.join_index(u, v), w) != lat.join_index(u, lat.meet_index(v, w))
@@ -224,6 +251,52 @@ def test_modular_needs_lower_semimodularity():
     analysis = AlgebraAnalysis(catalog.abelian(1, F2))
     analysis.lattice = lat  # shadows the cached_property
     assert analysis.modular == verdict
+
+
+# The ten algebras of the benchmark's dense- and sparse-lattice workloads, in catalog bases.
+_WORKLOAD_ALGEBRAS = [
+    ("almost_abelian_lie", (3,), 7),
+    ("abelian", (3,), 7),
+    ("almost_abelian_lie", (4,), 2),
+    ("almost_abelian_lie", (3,), 5),
+    ("abelian", (4,), 2),
+    ("cyclic_nilpotent", (4,), 7),
+    ("cyclic_nilpotent", (4,), 5),
+    ("cyclic_solvable", (4,), 5),
+    ("heisenberg_lie", (), 13),
+    ("heisenberg_lie", (), 11),
+]
+
+
+def test_condition_verdicts_match_pair_and_triple_oracles(base_lattices):
+    # exact (holds, witness) of USM, LSM and modularity, from the lattice
+    # functions and from the verify cache, on the 86 base members, the
+    # workload algebras and the partition lattices Pi_4 and Pi_5
+    cases = list(base_lattices)
+    for family, params, p in _WORKLOAD_ALGEBRAS:
+        l = catalog.FAMILIES[family][0](*params, Field.prime(p))
+        cases.append((l, enumerate_subalgebras(l)))
+    cases += [(catalog.abelian(1, F2), _partition_lattice(m)) for m in (4, 5)]
+    rows = []
+    for l, lat in cases:
+        triple = _modular_triple_oracle(lat)
+        expected = [
+            _semimodular_pair_oracle(lat, True),
+            _semimodular_pair_oracle(lat, False),
+            (triple is None, triple),
+        ]
+        got = [is_upper_semimodular(lat), is_lower_semimodular_lattice(lat), is_modular(lat)]
+        assert list(map(tuple, got)) == expected, l.name
+        analysis = AlgebraAnalysis(l)
+        analysis.lattice = lat  # shadows the cached_property; Pi_m is no algebra's lattice
+        cached = [analysis.usm, analysis.lsm, analysis.modular]
+        assert list(map(tuple, cached)) == expected, l.name
+        rows.append(expected)
+    assert len(rows) == 98
+    failing = [sum(not row[k][0] for row in rows) for k in range(3)]
+    assert failing == [5, 2, 7]  # USM, LSM, modular; LSM fails on Pi_4 and Pi_5 only
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "fd43d906abe123dd6b0bef238e4ce1f793c91793950184def2c734178c3a8895"
 
 
 def _closed_subspaces(l):
@@ -326,17 +399,9 @@ def test_usm_forms_agree():
 
 
 def test_lower_semimodular():
-    # cross-check the bitset implementation against a direct double loop
     for l in (catalog.cyclic_nilpotent(3, F2), catalog.heisenberg_lie(F3)):
         lat = enumerate_subalgebras(l)
-        expected = True
-        for i in range(len(lat.nodes)):
-            for j in range(len(lat.nodes)):
-                join = lat.join_index(i, j)
-                meet = lat.meet_index(i, j)
-                if lat.covered_by(j, join) and not lat.covered_by(meet, i):
-                    expected = False
-        assert is_lower_semimodular_lattice(lat).holds == expected
+        assert tuple(is_lower_semimodular_lattice(lat)) == _semimodular_pair_oracle(lat, False)
 
 
 def test_wqi_single_subalgebra():
