@@ -199,18 +199,20 @@ class LeibnizAlgebra:
             if terms[-1].dim in (0, terms[-2].dim):
                 return terms
 
-    def is_nilpotent(self) -> Tuple[bool, Optional[int]]:
-        """(verdict, class); class n means L^{n+1} = 0 but L^n != 0."""
-        terms = self.lower_central_series()
+    @staticmethod
+    def _ends_at_zero(terms: List[Subspace]) -> Tuple[bool, Optional[int]]:
+        """(True, number of nonzero terms) if the series reaches 0, else (False, None)."""
         if terms[-1].dim != 0:
             return False, None
         return True, sum(1 for t in terms if t.dim > 0)
 
+    def is_nilpotent(self) -> Tuple[bool, Optional[int]]:
+        """(verdict, class); class n means L^{n+1} = 0 but L^n != 0."""
+        return self._ends_at_zero(self.lower_central_series())
+
     def is_solvable(self) -> Tuple[bool, Optional[int]]:
-        terms = self.derived_series()
-        if terms[-1].dim != 0:
-            return False, None
-        return True, sum(1 for t in terms if t.dim > 0)
+        """(verdict, derived length)."""
+        return self._ends_at_zero(self.derived_series())
 
     # -- distinguished subspaces ------------------------------------------
 
@@ -244,12 +246,8 @@ class LeibnizAlgebra:
         return [v for v in self.all_vectors(budget) if not any(self.bracket(v, v))]
 
     def square_zero_lines(self, budget: int = 10 ** 6) -> List[Vector]:
-        """Monic representatives of the square-zero lines, since [cv,cv] = c^2 [v,v].
-
-        Same scope as square_zero_vectors: the budget still bounds p^n.
-        """
-        self._check_element_scan(budget)
-        return [v for v in self.monic_lines() if not any(self.bracket(v, v))]
+        """Monic representatives of the square-zero lines, since [cv,cv] = c^2 [v,v]."""
+        return [v for v in self.monic_lines(budget) if not any(self.bracket(v, v))]
 
     def square_zero_subalgebra(
         self,
@@ -307,51 +305,35 @@ class LeibnizAlgebra:
         """Quotient by an ideal, with the coordinate projection map."""
         if not self.is_ideal(k):
             raise AlgebraError("quotient requires an ideal")
-        f, n = self.field, self.dim
-        piv = set(k.pivots)
-        comp = [j for j in range(n) if j not in piv]
+        comp = [j for j in range(self.dim) if j not in k.pivots]
 
         def project(v: Vector) -> Vector:
             w = k.reduce(v)
             return tuple(w[j] for j in comp)
 
-        m = len(comp)
-        table = [[None] * m for _ in range(m)]
-        for a in range(m):
-            ea = self.basis_vector(comp[a])
-            for b in range(m):
-                table[a][b] = project(self.bracket(ea, self.basis_vector(comp[b])))
-        algebra = LeibnizAlgebra(
-            name="%s/(dim %d ideal)" % (self.name, k.dim),
-            field=f,
-            dim=m,
-            table=tuple(tuple(row) for row in table),
-        )
-        return Quotient(algebra, project)
+        name = "%s/(dim %d ideal)" % (self.name, k.dim)
+        return Quotient(self._induced(name, [self.basis_vector(j) for j in comp], project), project)
 
     def restrict(self, u: Subspace) -> "LeibnizAlgebra":
         """The subalgebra u as an algebra in its own basis; u must be bracket-closed."""
         if not self.product_space(u, u).leq(u):
             raise AlgebraError("subspace is not closed under the bracket")
-        f, m = self.field, u.dim
-        piv = u.pivots
+        # a vector of u has its coordinates in u's RREF basis at the pivot columns
+        name = "%s|dim%d" % (self.name, u.dim)
+        return self._induced(name, u.basis, lambda v: tuple(v[p] for p in u.pivots))
 
-        def coords(v: Vector) -> Vector:
-            return tuple(v[p] for p in piv)
+    def _induced(self, name: str, basis, coords, family: Optional[str] = None) -> "LeibnizAlgebra":
+        """The algebra on ``basis`` with [b_i, b_j] = sum_k coords([b_i, b_j])[k] b_k."""
+        table = tuple(tuple(coords(self.bracket(a, b)) for b in basis) for a in basis)
+        return LeibnizAlgebra(name, self.field, len(basis), table, family)
 
-        table = tuple(
-            tuple(coords(self.bracket(a, b)) for b in u.basis) for a in u.basis
-        )
-        return LeibnizAlgebra(
-            name="%s|dim%d" % (self.name, m), field=f, dim=m, table=table
-        )
+    def monic_lines(self, budget: int = 10 ** 6) -> Iterator[Vector]:
+        """One representative per 1-dim subspace: first nonzero coordinate is 1.
 
-    def monic_lines(self) -> Iterator[Vector]:
-        """One representative per 1-dim subspace: first nonzero coordinate is 1."""
-        f = self.field
-        if not f.is_prime_field:
-            raise UnsupportedFieldError("line enumeration needs a finite prime field")
-        for v in itertools.product(list(f.elements()), repeat=self.dim):
+        The scan visits all p^n vectors, so the budget bounds p^n.
+        """
+        self._check_element_scan(budget)
+        for v in itertools.product(list(self.field.elements()), repeat=self.dim):
             for x in v:
                 if x:
                     break
@@ -361,14 +343,15 @@ class LeibnizAlgebra:
                 yield v
 
     def is_supersolvable(self, budget: int = 10 ** 6) -> bool:
-        """Complete flag of ideals, by backtracking over 1-dim ideals."""
-        self._check_element_scan(budget)
+        """Complete flag of ideals. For a 1-dim ideal I, L is supersolvable iff L/I is
+        (a flag of L maps onto one of L/I, and one of L/I lifts above I), so the
+        first 1-dim ideal decides and the recursion runs once per dimension."""
         if self.dim == 0:
             return True
-        for v in self.monic_lines():
+        for v in self.monic_lines(budget):
             line = Subspace.span(self.field, self.dim, [v])
-            if self.is_ideal(line) and self.quotient(line).algebra.is_supersolvable(budget):
-                return True
+            if self.is_ideal(line):
+                return self.quotient(line).algebra.is_supersolvable(budget)
         return False
 
     # -- shape detection ---------------------------------------------------
@@ -428,7 +411,7 @@ class LeibnizAlgebra:
 
     def change_of_basis(self, p_matrix: Sequence[Sequence[Scalar]]) -> "LeibnizAlgebra":
         """New algebra on the basis f_i = sum_j P[i][j] e_j."""
-        f, n = self.field, self.dim
+        f = self.field
         p = tuple(tuple(f.normalize_row(row)) for row in p_matrix)
         pinv_cols = list(zip(*invert_matrix(f, p)))
 
@@ -436,20 +419,7 @@ class LeibnizAlgebra:
             sums = [sum((a * b for a, b in zip(v, c) if a and b), f.zero()) for c in pinv_cols]
             return tuple(f.normalize_row(sums))
 
-        table = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                w = self.bracket(p[i], p[j])
-                plane.append(to_new_coords(w))
-            table.append(tuple(plane))
-        return LeibnizAlgebra(
-            name=self.name + "'",
-            field=f,
-            dim=n,
-            table=tuple(table),
-            family=self.family,
-        )
+        return self._induced(self.name + "'", p, to_new_coords, self.family)
 
 
 @dataclass

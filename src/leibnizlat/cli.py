@@ -73,27 +73,23 @@ def _cmd_lattice(args) -> int:
     # the verify cache decides modularity from the usm and lsm verdicts it keeps
     an = verify_mod.AlgebraAnalysis(l)
     stats = lat_mod.lattice_stats(an.lattice)
-    for key in ("nodes", "height", "atoms", "coatoms"):
-        print("%s: %d" % (key, stats[key]))
-    print("modular: %s" % str(an.modular.holds).lower())
-    print("upper_semimodular: %s" % str(an.usm.holds).lower())
-    print("lower_semimodular: %s" % str(an.lsm.holds).lower())
-    print("all_wqi: %s" % str(an.wqi_all.holds).lower())
+    for key, value in stats.items():
+        print("%s: %d" % (key, value))
+    verdicts = {
+        "modular": an.modular.holds,
+        "upper_semimodular": an.usm.holds,
+        "lower_semimodular": an.lsm.holds,
+        "all_wqi": an.wqi_all.holds,
+    }
+    for key, holds in verdicts.items():
+        print("%s: %s" % (key, str(holds).lower()))
     print("frattini_dim: %d" % an.frattini.dim)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(export_dot(an.lattice))
     if args.json:
-        report = {
-            "algebra": l.name,
-            "stats": stats,
-            "modular": an.modular.holds,
-            "upper_semimodular": an.usm.holds,
-            "lower_semimodular": an.lsm.holds,
-            "all_wqi": an.wqi_all.holds,
-        }
         with open(args.json, "w") as fh:
-            fh.write(export_json_report(report))
+            fh.write(export_json_report({"algebra": l.name, "stats": stats, **verdicts}))
     return EXIT_OK
 
 

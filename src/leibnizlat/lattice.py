@@ -6,8 +6,9 @@ semi-modularity, weak quasi-ideals) are loops over O(1) bit operations.
 
 Two shortcuts rest on theorems. Modularity: a lattice of finite length is
 modular iff it is upper and lower semimodular (Birkhoff, *Lattice Theory*,
-1967; Stern, *Semimodular Lattices*, 1999), so two node-pair scans decide it
-and the node-triple scan runs only to find a failure's witness. All-WQI:
+1967; Stern, *Semimodular Lattices*, 1999), so the node-pair scan, run once on
+the lattice and once on its dual, decides it, and the node-triple scan runs
+only to find a failure's witness. All-WQI:
 [U,V] is spanned by the brackets [u,v] (bilinearity), and [u,v] lies in
 <u> + <v> <= U + V when the cyclic pair <u>, <v> passes, so pairs of cyclic
 subalgebras decide it.
@@ -124,51 +125,60 @@ def enumerate_subalgebras(
 
 def is_modular(lat: SubalgebraLattice) -> Verdict:
     """<U,V> ^ W = <U, V ^ W> for all node triples with U <= W, as USM and LSM."""
-    if is_upper_semimodular(lat).holds and is_lower_semimodular_lattice(lat).holds:
+    return modular_verdict(
+        lat, is_upper_semimodular(lat).holds and is_lower_semimodular_lattice(lat).holds
+    )
+
+
+def modular_verdict(lat: SubalgebraLattice, semimodular: bool) -> Verdict:
+    """Modular iff upper and lower semimodular; on a failure, the witness is the first
+    node triple (U, V, W) with U <= W and <U,V> ^ W != <U, V ^ W>."""
+    if semimodular:
         return Verdict(True, None)
-    return Verdict(False, modular_witness(lat))
-
-
-def modular_witness(lat: SubalgebraLattice) -> Optional[Tuple[Subspace, Subspace, Subspace]]:
-    """The first node triple (U, V, W) with U <= W and <U,V> ^ W != <U, V ^ W>."""
     n = len(lat.nodes)
     upset, downset = lat.upset, lat.downset
     for u in range(n):
-        up_u = lat.upset[u]
         for v in range(n):
             common = upset[u] & upset[v]
             juv = (common & -common).bit_length() - 1
             down_juv = downset[juv]
-            for w in _bits(up_u):
+            for w in _bits(upset[u]):
                 left = (down_juv & downset[w]).bit_length() - 1
                 m = (downset[v] & downset[w]).bit_length() - 1
                 cu = upset[u] & upset[m]
                 right = (cu & -cu).bit_length() - 1
                 if left != right:
-                    return (lat.nodes[u], lat.nodes[v], lat.nodes[w])
-    return None
+                    return Verdict(False, (lat.nodes[u], lat.nodes[v], lat.nodes[w]))
+    return Verdict(False, None)
+
+
+def _semimodular(lat: SubalgebraLattice, meet, join, covers: List[int]) -> Verdict:
+    """The first node pair (U, B) where B covers meet(U,B) but join(U,B) does not cover U.
+
+    Bit j of covers[i] is set iff node j covers node i. With meet and join swapped
+    and the lower covers, the same loop scans the dual lattice.
+    """
+    n = len(lat.nodes)
+    for u in range(n):
+        covers_u = covers[u]
+        for b in range(n):
+            if covers[meet(u, b)] >> b & 1 and not covers_u >> join(u, b) & 1:
+                return Verdict(False, (lat.nodes[u], lat.nodes[b]))
+    return Verdict(True, None)
 
 
 def is_upper_semimodular(lat: SubalgebraLattice) -> Verdict:
     """If U ^ B is maximal in B then U is maximal in <U,B> (for all node pairs)."""
-    n = len(lat.nodes)
-    for u in range(n):
-        for b in range(n):
-            m = lat.meet_index(u, b)
-            if lat.covered_by(m, b) and not lat.covered_by(u, lat.join_index(u, b)):
-                return Verdict(False, (lat.nodes[u], lat.nodes[b]))
-    return Verdict(True, None)
+    return _semimodular(lat, lat.meet_index, lat.join_index, lat.covers_up)
 
 
 def is_lower_semimodular_lattice(lat: SubalgebraLattice) -> Verdict:
     """Dual covering condition: if B is covered by <U,B> then U ^ B is covered by U."""
-    n = len(lat.nodes)
-    for u in range(n):
-        for b in range(n):
-            j = lat.join_index(u, b)
-            if lat.covered_by(b, j) and not lat.covered_by(lat.meet_index(u, b), u):
-                return Verdict(False, (lat.nodes[u], lat.nodes[b]))
-    return Verdict(True, None)
+    covers_down = [0] * len(lat.nodes)  # bit i of covers_down[j] set iff nodes[j] covers nodes[i]
+    for i, up in enumerate(lat.covers_up):
+        for j in _bits(up):
+            covers_down[j] |= 1 << i
+    return _semimodular(lat, lat.join_index, lat.meet_index, covers_down)
 
 
 def is_weak_quasi_ideal(l: LeibnizAlgebra, lat: SubalgebraLattice, u: Subspace) -> bool:
@@ -225,7 +235,7 @@ def wqi_elementwise(l: LeibnizAlgebra, budget: int = 10 ** 6) -> Verdict:
         raise BudgetExceeded(
             "p^(2n) = %d exceeds budget %d" % (l.field.p ** (2 * l.dim), budget)
         )
-    lines = list(l.monic_lines())
+    lines = list(l.monic_lines(budget))
     generated = [l.subalgebra_closure([v]) for v in lines]
     sums: Dict[Tuple[tuple, tuple], Subspace] = {}
     for x, gx in zip(lines, generated):

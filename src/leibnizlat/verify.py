@@ -92,10 +92,7 @@ class AlgebraAnalysis:
 
     @cached_property
     def modular(self):
-        # lattice.is_modular on the cached usm and lsm verdicts (Birkhoff)
-        if self.usm.holds and self.lsm.holds:
-            return lat_mod.Verdict(True, None)
-        return lat_mod.Verdict(False, lat_mod.modular_witness(self.lattice))
+        return lat_mod.modular_verdict(self.lattice, self.usm.holds and self.lsm.holds)
 
     @cached_property
     def usm(self):
@@ -166,7 +163,7 @@ class AlgebraAnalysis:
         """A monic generator of the whole algebra, or None."""
         if self.algebra.dim == 0:
             return None
-        for v in self.algebra.monic_lines():
+        for v in self.algebra.monic_lines(self.scan_budget):
             if self.cyclic(v).dim == self.algebra.dim:
                 return v
         return None
@@ -176,12 +173,12 @@ class AlgebraAnalysis:
         l = self.algebra
         n = l.dim
         scalars = [s for s in l.field.elements() if s]
-        for rep in l.monic_lines():
+        for rep in l.monic_lines(self.scan_budget):
             if self.cyclic(rep).dim != n:
                 continue
             # x^(n+1) = x^n is not scale-invariant, so try every scaling
             for s in scalars:
-                v = tuple(l.field.mul(s, x) for x in rep)
+                v = tuple(l.field.scale_row(s, rep))
                 powers = [v]
                 for _ in range(n - 1):
                     powers.append(l.bracket(powers[-1], v))

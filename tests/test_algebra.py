@@ -233,6 +233,9 @@ def test_supersolvable():
     assert catalog.cyclic_solvable(3, F2).is_supersolvable()
     assert catalog.abelian(4, F2).is_supersolvable()
     assert catalog.heisenberg_lie(F3).is_supersolvable()
+    # sl2 has no 1-dim ideal, and every 1-dim ideal of sl2 + abelian(6) is central
+    assert not _sl2_plus_abelian(0, F5).is_supersolvable()
+    assert not _sl2_plus_abelian(6, F3).is_supersolvable()
 
 
 def _supersolvable_backtracking_oracle(l):

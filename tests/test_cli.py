@@ -100,6 +100,16 @@ def test_verify_single_file(spec_path, capsys):
     assert "result: ok" in out
 
 
+def test_verify_over_the_scan_budget_returns(tmp_path, capsys):
+    # 3^13 vectors and its subspace count are over the default budgets: every check is n/a
+    path = tmp_path / "ab13.json"
+    path.write_text(emit_spec(catalog.abelian(13, Field.prime(3))))
+    assert main(["verify", str(path)]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:18]
+    assert len(rows) == 17
+    assert all(row.split()[1:] == ["0", "0", "1"] for row in rows), rows
+
+
 def test_verify_unknown_check(spec_path):
     assert main(["verify", spec_path, "--checks", "nope"]) == EXIT_INPUT_ERROR
 

@@ -53,6 +53,17 @@ def test_hypothesis_gating():
     assert "characteristic" in r.detail
 
 
+def test_lem_cyclic_line_scan_has_a_budget():
+    # the generator search closes up to (p^n - 1)/(p - 1) lines; p^n bounds it
+    l = catalog.abelian(3, F3)
+    report = verify.run_check("lem-cyclic", l, verify.AlgebraAnalysis(l, scan_budget=26))
+    assert (report.status, report.detail) == (
+        "not_applicable", "budget: p^n = 27 exceeds budget 26"
+    )
+    report = verify.run_check("lem-cyclic", l, verify.AlgebraAnalysis(l, scan_budget=27))
+    assert (report.status, report.detail) == ("not_applicable", "hypothesis failed: cyclic")
+
+
 def test_lem_1dim_needs_dim_two():
     r = verify.run_check("lem-1dim", catalog.abelian(1, F3))
     assert r.status == "not_applicable"
