@@ -249,27 +249,11 @@ class LeibnizAlgebra:
         """Monic representatives of the square-zero lines, since [cv,cv] = c^2 [v,v]."""
         return [v for v in self.monic_lines(budget) if not any(self.bracket(v, v))]
 
-    def square_zero_subalgebra(
-        self,
-        budget: int = 10 ** 6,
-        witnesses: Optional[Sequence[Vector]] = None,
-    ) -> Subspace:
-        """The subalgebra generated by all square-zero elements.
+    def square_zero_subalgebra(self, budget: int = 10 ** 6) -> Subspace:
+        """The subalgebra generated by all square-zero elements (prime fields only).
 
-        Over F_p it closes over the monic square-zero lines, since
-        [cv,cv] = c^2 [v,v]. Over the rationals the square-zero set cannot be scanned exactly; an
-        explicit witness list must be supplied and the result is only a lower
-        bound for J.
+        It closes over the monic square-zero lines, since [cv,cv] = c^2 [v,v].
         """
-        if witnesses is not None:
-            for w in witnesses:
-                if any(self.bracket(w, w)):
-                    raise AlgebraError("witness %r does not square to zero" % (w,))
-            return self.subalgebra_closure(list(witnesses))
-        if not self.field.is_prime_field:
-            raise UnsupportedFieldError(
-                "J over the rationals needs an explicit witness list"
-            )
         return self.subalgebra_closure(self.square_zero_lines(budget))
 
     # -- ideals and quotients ---------------------------------------------
@@ -330,17 +314,15 @@ class LeibnizAlgebra:
     def monic_lines(self, budget: int = 10 ** 6) -> Iterator[Vector]:
         """One representative per 1-dim subspace: first nonzero coordinate is 1.
 
-        The scan visits all p^n vectors, so the budget bounds p^n.
+        Lines come in lexicographic order of their representatives, so later
+        leading positions first. The budget bounds p^n, the size of the space.
         """
         self._check_element_scan(budget)
-        for v in itertools.product(list(self.field.elements()), repeat=self.dim):
-            for x in v:
-                if x:
-                    break
-            else:
-                continue
-            if x == 1:
-                yield v
+        n, elems = self.dim, range(self.field.p)
+        for lead in reversed(range(n)):
+            head = (0,) * lead + (1,)
+            for tail in itertools.product(elems, repeat=n - 1 - lead):
+                yield head + tail
 
     def is_supersolvable(self, budget: int = 10 ** 6) -> bool:
         """Complete flag of ideals. For a 1-dim ideal I, L is supersolvable iff L/I is

@@ -90,15 +90,13 @@ class SubalgebraLattice:
 
 
 def enumerate_subalgebras(
-    l: LeibnizAlgebra,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    subspace_budget: int = 10 ** 6,
+    l: LeibnizAlgebra, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SubalgebraLattice:
     """Build the full subalgebra lattice of a finite-field algebra."""
     if not l.field.is_prime_field:
         raise UnsupportedFieldError("subalgebra enumeration needs a finite prime field")
     nodes = []
-    for s in enumerate_subspaces(l.field, l.dim, budget=subspace_budget):
+    for s in enumerate_subspaces(l.field, l.dim):
         if l.product_space(s, s).leq(s):
             nodes.append(s)
             if len(nodes) > node_budget:
@@ -291,11 +289,7 @@ def lattice_stats(lat: SubalgebraLattice) -> dict:
     }
 
 
-def build_structure_report(
-    l: LeibnizAlgebra,
-    budget: int = 10 ** 6,
-    with_lattice: bool = True,
-) -> StructureReport:
+def build_structure_report(l: LeibnizAlgebra, budget: int = 10 ** 6) -> StructureReport:
     """Full invariant report; lattice-derived fields are None over the rationals."""
     nilp, cls = l.is_nilpotent()
     solv, dlen = l.is_solvable()
@@ -306,8 +300,7 @@ def build_structure_report(
     if finite:
         dim_j = l.square_zero_subalgebra(budget).dim
         ssolv = l.is_supersolvable(budget)
-        if with_lattice:
-            dim_phi = frattini_ideal(l).dim
+        dim_phi = frattini_ideal(l).dim
     full = l.full_subspace()
     return StructureReport(
         name=l.name,

@@ -8,15 +8,22 @@ subspaces is equality of their basis matrices.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple  # tuple of Scalar
 Matrix = tuple  # tuple of Vector
+
+
+# Every rational zero that Field.zero() hands out is this one object, so the zero
+# entries of a table over Q do not each hold a Fraction of their own.
+_Q_ZERO = Fraction(0)
 
 
 class LinalgError(ValueError):
@@ -102,7 +109,7 @@ class Field:
         return [(x - c * y) % p for x, y in zip(w, row)]
 
     def zero(self) -> Scalar:
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _Q_ZERO
 
     def one(self) -> Scalar:
         return 1 if self.p is not None else Fraction(1)
@@ -153,12 +160,6 @@ def unit_vector(f: Field, n: int, i: int) -> Vector:
     v = [f.zero()] * n
     v[i] = f.one()
     return tuple(v)
-
-
-def scalar_sort_key(x: Scalar):
-    if isinstance(x, Fraction):
-        return (x.numerator, x.denominator)
-    return (x, 1)
 
 
 def rref(f: Field, rows: Sequence[Sequence[Scalar]]):
@@ -281,9 +282,6 @@ class Subspace:
         vectors = [self.combination(coeffs[:ka]) for coeffs in nullspace(f, rows)]
         return Subspace.span(f, n, vectors)
 
-    def sort_key(self):
-        return (self.dim, tuple(tuple(scalar_sort_key(x) for x in row) for row in self.basis))
-
     def vectors(self) -> Iterator[Vector]:
         """All elements of the subspace (prime fields only)."""
         f = self.field
@@ -356,10 +354,12 @@ def subspace_count(p: int, n: int) -> int:
 
 
 def enumerate_subspaces(f: Field, n: int, budget: int = 10 ** 6) -> Iterator[Subspace]:
-    """All subspaces of F_p^n, by dimension then lexicographic RREF key.
+    """All subspaces of F_p^n, by dimension then lexicographic RREF basis.
 
     Iterates RREF shapes directly: choose pivot columns, then fill the free
     entries, so every subspace appears exactly once without deduplication.
+    Each shape yields in basis order, and one merge per dimension interleaves
+    them, so nothing is held but one pending subspace per shape.
     """
     if not f.is_prime_field:
         raise LinalgError("subspace enumeration needs a finite prime field")
@@ -368,25 +368,22 @@ def enumerate_subspaces(f: Field, n: int, budget: int = 10 ** 6) -> Iterator[Sub
         raise BudgetExceeded(
             "F_%d^%d has %d subspaces, over the subspace budget %d" % (f.p, n, count, budget)
         )
-    elems = list(f.elements())
     for k in range(n + 1):
-        batch = []
-        for pivots in itertools.combinations(range(n), k):
-            free_positions = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, n)
-                if c not in pivots
-            ]
-            for values in itertools.product(elems, repeat=len(free_positions)):
-                rows = [[f.zero()] * n for _ in range(k)]
-                for r, p in enumerate(pivots):
-                    rows[r][p] = f.one()
-                for (r, c), val in zip(free_positions, values):
-                    rows[r][c] = val
-                batch.append(Subspace(f, n, tuple(tuple(row) for row in rows)))
-        batch.sort(key=Subspace.sort_key)
-        yield from batch
+        shapes = [_shape_subspaces(f, n, pivots) for pivots in itertools.combinations(range(n), k)]
+        yield from heapq.merge(*shapes, key=attrgetter("basis"))
+
+
+def _shape_subspaces(f: Field, n: int, pivots: tuple) -> Iterator[Subspace]:
+    """The subspaces whose RREF has these pivot columns, in basis order: the free
+    entries run through F_p in row-major order, the order rows compare in."""
+    rows = [[0] * n for _ in pivots]
+    for r, c in enumerate(pivots):
+        rows[r][c] = 1
+    free = [(r, c) for r, piv in enumerate(pivots) for c in range(piv + 1, n) if c not in pivots]
+    for values in itertools.product(range(f.p), repeat=len(free)):
+        for (r, c), x in zip(free, values):
+            rows[r][c] = x
+        yield Subspace(f, n, tuple(map(tuple, rows)))
 
 
 def matrix_rank(f: Field, rows: Sequence[Sequence[Scalar]]) -> int:

@@ -81,10 +81,17 @@ class AlgebraAnalysis:
         self.elementwise_budget = elementwise_budget
         self.node_budget = node_budget
         self._cyclic: Dict[tuple, Subspace] = {}  # <v>, filled on demand
+        self._lattice_error: Optional[BudgetExceeded] = None
 
     @cached_property
     def lattice(self):
-        return lat_mod.enumerate_subalgebras(self.algebra, node_budget=self.node_budget)
+        """Built at most once: an over-budget build keeps its error and raises it again."""
+        if self._lattice_error is None:
+            try:
+                return lat_mod.enumerate_subalgebras(self.algebra, node_budget=self.node_budget)
+            except BudgetExceeded as exc:
+                self._lattice_error = exc
+        raise self._lattice_error.with_traceback(None)
 
     @cached_property
     def solvable(self) -> bool:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -182,6 +184,76 @@ def test_enumerate_subspaces_budget_counts_subspaces():
 def test_enumerate_subspaces_rational_rejected():
     with pytest.raises(LinalgError):
         list(enumerate_subspaces(Q, 2))
+
+
+# -- streamed canonical forms ---------------------------------------------
+# The library merges the echelon shapes of one dimension as they stream and
+# makes each monic line from its leading 1. These are the code they replaced:
+# every dimension built whole and sorted, and every vector filtered.
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# every (p, n) with p^n <= 3^5 (F_2^6 and F_2^7 among them), and F_7^4
+STREAM_CASES = [(p, n) for p in PRIMES for n in range(8) if p ** n <= 3 ** 5] + [(7, 4)]
+
+
+def _batch_sorted_subspaces(f, n):
+    def scalar_key(x):
+        return (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+
+    def sort_key(s):
+        return (s.dim, tuple(tuple(scalar_key(x) for x in row) for row in s.basis))
+
+    elems = list(f.elements())
+    for k in range(n + 1):
+        batch = []
+        for pivots in itertools.combinations(range(n), k):
+            free_positions = [
+                (r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots
+            ]
+            for values in itertools.product(elems, repeat=len(free_positions)):
+                rows = [[f.zero()] * n for _ in range(k)]
+                for r, p in enumerate(pivots):
+                    rows[r][p] = f.one()
+                for (r, c), val in zip(free_positions, values):
+                    rows[r][c] = val
+                batch.append(Subspace(f, n, tuple(tuple(row) for row in rows)))
+        batch.sort(key=sort_key)
+        yield from batch
+
+
+def _filtered_monic_vectors(p, n):
+    for v in itertools.product(range(p), repeat=n):
+        nonzero = [x for x in v if x]
+        if nonzero and nonzero[0] == 1:
+            yield v
+
+
+@pytest.mark.parametrize("p,n", STREAM_CASES)
+def test_enumerate_subspaces_matches_batch_sort_oracle(p, n):
+    f = Field.prime(p)
+    streamed = list(enumerate_subspaces(f, n))
+    assert len(streamed) == subspace_count(p, n)
+    assert streamed == list(_batch_sorted_subspaces(f, n))
+
+
+@pytest.mark.parametrize("p,n", STREAM_CASES)
+def test_monic_lines_match_vector_filter_oracle(p, n):
+    lines = list(catalog.abelian(n, Field.prime(p)).monic_lines())
+    assert len(lines) == (p ** n - 1) // (p - 1)
+    assert lines == list(_filtered_monic_vectors(p, n))
+
+
+def test_enumerate_subspaces_streams():
+    # F_2^6 has 2,825 subspaces, 1,395 of them of dim 3; holding one dimension
+    # whole to sort it peaked at about 2.5 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_subspaces(F2, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2825
+    assert peak < 1 << 20, "peak %d bytes" % peak
 
 
 # -- per-scalar reference kernels ------------------------------------------

@@ -1,6 +1,7 @@
-"""Dependency-free lint of the package source: no unused imports, no dangling exports."""
+"""Dependency-free lint of the package: no unused imports, dangling exports or unread names."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -9,6 +10,8 @@ import leibnizlat
 
 SRC = pathlib.Path(leibnizlat.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
+REPO = pathlib.Path(__file__).resolve().parents[1]
+READERS = MODULES + sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("perfbench/*.py"))
 
 
 def _imported_names(tree):
@@ -82,3 +85,19 @@ def test_every_private_definition_is_loaded():
         if name not in loaded
     ]
     assert dead == [], "private names defined but never read: %s" % ", ".join(dead)
+
+
+def test_every_module_level_function_is_loaded():
+    """A module-level function in the package is read, as a bare name or an
+    attribute, somewhere in the package, the tests or the benchmark, outside
+    its own body."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in READERS}
+    loaded = collections.Counter(name for tree in trees.values() for name in _loaded_names(tree))
+    dead = [
+        "%s:%d %s" % (path.name, node.lineno, node.name)
+        for path in MODULES
+        for node in trees[path].body
+        if isinstance(node, ast.FunctionDef)
+        and loaded[node.name] == sum(1 for name in _loaded_names(node) if name == node.name)
+    ]
+    assert dead == [], "module-level functions never read: %s" % ", ".join(dead)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from leibnizlat import Field, LeibnizAlgebra, Subspace, catalog, verify
+from leibnizlat import BudgetExceeded, Field, LeibnizAlgebra, Subspace, catalog, verify
 from leibnizlat.lattice import Verdict
 
 F2 = Field.prime(2)
@@ -228,9 +228,32 @@ def test_solvable_hypothesis_comes_before_the_lattice_budget():
         assert (report.status, report.detail) == (
             "not_applicable", "hypothesis failed: solvable"
         ), cid
-    assert "lattice" not in vars(an)
+    assert "lattice" not in vars(an) and an._lattice_error is None
     assert verify.run_check("rem-equiv", l, an).detail == "hypothesis failed: solvable"
     assert verify.run_check("lem-wqi-phi", l, an).detail.startswith("budget: ")
+
+
+def test_an_over_budget_lattice_is_enumerated_once(monkeypatch):
+    calls = collections.Counter()
+    original = verify.lat_mod.enumerate_subalgebras
+
+    def spy(l, **kwargs):
+        calls[l.name] += 1
+        return original(l, **kwargs)
+
+    monkeypatch.setattr(verify.lat_mod, "enumerate_subalgebras", spy)
+    # 16 and 8 subalgebras, over node budgets of 5 and 3; the checks that
+    # reach the lattice report the budget, the others a failed hypothesis
+    cases = ((catalog.abelian(3, F2), 5, 14), (catalog.heisenberg_lie(F3), 3, 13))
+    for l, node_budget, over in cases:
+        an = verify.AlgebraAnalysis(l, node_budget=node_budget)
+        reports = [verify.run_check(cid, l, an) for cid in verify.CHECKS]
+        assert all(r.status == "not_applicable" for r in reports)
+        budget = "budget: subalgebra count exceeds node budget %d" % node_budget
+        assert sum(r.detail == budget for r in reports) == over
+        with pytest.raises(BudgetExceeded, match=budget[len("budget: "):]):
+            an.modular
+        assert calls[l.name] == 1, l.name
 
 
 def test_hypotheses_stop_at_the_first_failure(monkeypatch):
