@@ -106,13 +106,6 @@ Quotient = namedtuple("Quotient", ["algebra", "project"])
 
 
 @dataclass(frozen=True)
-class Shape:
-    tag: str  # abelian | almost_abelian_lie | almost_abelian_nonlie | extraspecial | other
-    radical: Optional[Subspace] = None  # the codimension-1 abelian ideal, when found
-    scaled_generator: Optional[Vector] = None  # y with [a, y] = a for all a in radical
-
-
-@dataclass(frozen=True)
 class LeibnizAlgebra:
     name: str
     field: Field
@@ -178,9 +171,6 @@ class LeibnizAlgebra:
             if bigger.dim == u.dim:
                 return u
             u = bigger
-
-    def generated_by(self, vectors: Sequence[Vector]) -> bool:
-        return self.subalgebra_closure(vectors).dim == self.dim
 
     # -- series and solvability -------------------------------------------
 
@@ -338,40 +328,35 @@ class LeibnizAlgebra:
 
     # -- shape detection ---------------------------------------------------
 
-    def classify_shape(self) -> Shape:
-        f, n = self.field, self.dim
+    def classify_shape(self) -> str:
+        """abelian | almost_abelian_lie | almost_abelian_nonlie | extraspecial | other"""
         full = self.full_subspace()
         l2 = self.product_space(full, full)
         if l2.dim == 0:
-            return Shape("abelian")
+            return "abelian"
         almost = self._almost_abelian_shape(l2)
         if almost is not None:
             return almost
         nilp, cls = self.is_nilpotent()
         if nilp and cls is not None and cls <= 2 and l2.dim == 1 and self.center() == l2:
-            return Shape("extraspecial", radical=l2)
-        return Shape("other")
+            return "extraspecial"
+        return "other"
 
-    def _almost_abelian_shape(self, l2: Subspace) -> Optional[Shape]:
+    def _almost_abelian_shape(self, l2: Subspace) -> Optional[str]:
+        """L = A + Fv with A = L^2 abelian and [a, v] = c a (c != 0) for all a in A;
+        Lie when [v, a] = -c a, non-Lie when [v, a] = 0."""
         f, n = self.field, self.dim
         if l2.dim != n - 1:
             return None
         if self.product_space(l2, l2).dim != 0:
             return None
-        v = None
-        for i in range(n):
-            cand = self.basis_vector(i)
-            if not l2.contains(cand):
-                v = cand
-                break
-        if v is None:
-            return None
+        v = next(e for e in map(self.basis_vector, range(n)) if not l2.contains(e))
         # R_v restricted to A must be c * identity with c != 0
         c = None
         for a in l2.basis:
             image = self.bracket(a, v)
-            piv = next(j for j, x in enumerate(a) if x)
-            ca = f.div(image[piv], a[piv])
+            # a is an RREF row, so its first nonzero entry is 1
+            ca = image[next(j for j, x in enumerate(a) if x)]
             if image != tuple(f.scale_row(ca, a)):
                 return None
             if c is None:
@@ -380,13 +365,12 @@ class LeibnizAlgebra:
                 return None
         if not c:
             return None
-        y = tuple(f.scale_row(f.inv(c), v))
-        images = [self.bracket(y, a) for a in l2.basis]
-        minus_one = f.neg(f.one())
-        if all(img == tuple(f.scale_row(minus_one, a)) for img, a in zip(images, l2.basis)):
-            return Shape("almost_abelian_lie", radical=l2, scaled_generator=y)
+        images = [self.bracket(v, a) for a in l2.basis]
+        minus_c = f.neg(c)
+        if all(img == tuple(f.scale_row(minus_c, a)) for img, a in zip(images, l2.basis)):
+            return "almost_abelian_lie"
         if not any(any(img) for img in images):
-            return Shape("almost_abelian_nonlie", radical=l2, scaled_generator=y)
+            return "almost_abelian_nonlie"
         return None
 
     # -- basis changes -----------------------------------------------------

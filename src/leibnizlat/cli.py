@@ -198,10 +198,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (BudgetExceeded, AlgebraError, LinalgError) as exc:
+    except (CliError, BudgetExceeded, AlgebraError, LinalgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -17,7 +17,8 @@ subalgebras decide it.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import BudgetExceeded, Subspace, enumerate_subspaces
@@ -47,10 +48,17 @@ class SubalgebraLattice:
     downset: List[int]
     covers_up: List[int]           # bit j of covers_up[i] set iff nodes[i] is covered by nodes[j]
 
-    _index: Dict[tuple, int] = None
+    # Derived once, as plain attributes: a cached_property writes through __dict__,
+    # which on CPython slows every later attribute read in the pair scans.
+    _index: Dict[tuple, int] = dc_field(init=False)
+    covers_down: List[int] = dc_field(init=False)  # covers_up transposed
 
     def __post_init__(self):
         self._index = {s.basis: i for i, s in enumerate(self.nodes)}
+        self.covers_down = [0] * len(self.nodes)
+        for i, up in enumerate(self.covers_up):
+            for j in _bits(up):
+                self.covers_down[j] |= 1 << i
 
     def __len__(self):
         return len(self.nodes)
@@ -85,8 +93,7 @@ class SubalgebraLattice:
         return list(_bits(self.covers_up[0]))
 
     def coatoms(self) -> List[int]:
-        top = len(self.nodes) - 1
-        return [i for i in range(top) if self.covered_by(i, top)]
+        return list(_bits(self.covers_down[-1]))
 
 
 def enumerate_subalgebras(
@@ -172,11 +179,7 @@ def is_upper_semimodular(lat: SubalgebraLattice) -> Verdict:
 
 def is_lower_semimodular_lattice(lat: SubalgebraLattice) -> Verdict:
     """Dual covering condition: if B is covered by <U,B> then U ^ B is covered by U."""
-    covers_down = [0] * len(lat.nodes)  # bit i of covers_down[j] set iff nodes[j] covers nodes[i]
-    for i, up in enumerate(lat.covers_up):
-        for j in _bits(up):
-            covers_down[j] |= 1 << i
-    return _semimodular(lat, lat.join_index, lat.meet_index, covers_down)
+    return _semimodular(lat, lat.join_index, lat.meet_index, lat.covers_down)
 
 
 def is_weak_quasi_ideal(l: LeibnizAlgebra, lat: SubalgebraLattice, u: Subspace) -> bool:
@@ -259,16 +262,12 @@ def maximal_subalgebras(lat: SubalgebraLattice) -> List[Subspace]:
 
 
 def frattini_ideal(l: LeibnizAlgebra, lat: Optional[SubalgebraLattice] = None) -> Subspace:
-    """Largest ideal inside the intersection of all maximal subalgebras."""
-    if l.dim == 0:
-        return Subspace.zero(l.field, 0)
+    """Largest ideal inside the intersection of all maximal subalgebras, which is the
+    meet of the coatoms in the lattice (the top node when there are none, as for L = 0)."""
     if lat is None:
         lat = enumerate_subalgebras(l)
-    maximals = maximal_subalgebras(lat)
-    inter = l.full_subspace()
-    for m in maximals:
-        inter = inter.intersection(m)
-    return l.largest_ideal_in(inter)
+    top = len(lat.nodes) - 1
+    return l.largest_ideal_in(lat.nodes[reduce(lat.meet_index, lat.coatoms(), top)])
 
 
 # -- summary ---------------------------------------------------------------
@@ -277,10 +276,9 @@ def frattini_ideal(l: LeibnizAlgebra, lat: Optional[SubalgebraLattice] = None) -
 def lattice_stats(lat: SubalgebraLattice) -> dict:
     n = len(lat.nodes)
     height = [0] * n
-    for j in range(n):
-        below = [i for i in range(j) if lat.covered_by(i, j)]
-        if below:
-            height[j] = 1 + max(height[i] for i in below)
+    for j, down in enumerate(lat.covers_down):  # lower covers come earlier in node order
+        if down:
+            height[j] = 1 + max(height[i] for i in _bits(down))
     return {
         "nodes": n,
         "height": height[-1] if n else 0,
@@ -318,5 +316,5 @@ def build_structure_report(l: LeibnizAlgebra, budget: int = 10 ** 6) -> Structur
         dim_center=l.center().dim,
         dim_square_zero=dim_j,
         dim_frattini=dim_phi,
-        shape=l.classify_shape().tag,
+        shape=l.classify_shape(),
     )

@@ -127,11 +127,11 @@ class AlgebraAnalysis:
 
     @cached_property
     def j_shape(self) -> str:
-        return self.algebra.restrict(self.j_subalgebra).classify_shape().tag
+        return self.algebra.restrict(self.j_subalgebra).classify_shape()
 
     @cached_property
     def shape(self) -> str:
-        return self.algebra.classify_shape().tag
+        return self.algebra.classify_shape()
 
     @cached_property
     def symmetric(self) -> bool:
@@ -142,7 +142,7 @@ class AlgebraAnalysis:
         return symmetric_modular_shape(self)
 
     def quotient_shape(self, ideal: Subspace) -> str:
-        return self.algebra.quotient(ideal).algebra.classify_shape().tag
+        return self.algebra.quotient(ideal).algebra.classify_shape()
 
     @cached_property
     def square_zero_lines(self) -> List[tuple]:
@@ -176,26 +176,23 @@ class AlgebraAnalysis:
         return None
 
     def cyclic_canonical_form(self) -> Optional[str]:
-        """'nilpotent' or 'solvable' if some generator has the canonical power table."""
+        """'nilpotent' or 'solvable' if some generator has the canonical power table.
+        As (sv)^k = s^k v^k, some s != 0 has (sv)^(n+1) = (sv)^n iff v^(n+1) is a
+        nonzero multiple of v^n, so one power sequence per line decides it."""
         l = self.algebra
         n = l.dim
-        scalars = [s for s in l.field.elements() if s]
-        for rep in l.monic_lines(self.scan_budget):
-            if self.cyclic(rep).dim != n:
+        for v in l.monic_lines(self.scan_budget):
+            if self.cyclic(v).dim != n:
                 continue
-            # x^(n+1) = x^n is not scale-invariant, so try every scaling
-            for s in scalars:
-                v = tuple(l.field.scale_row(s, rep))
-                powers = [v]
-                for _ in range(n - 1):
-                    powers.append(l.bracket(powers[-1], v))
-                if Subspace.span(l.field, n, powers).dim != n:
-                    continue
-                nxt = l.bracket(powers[-1], v)
-                if not any(nxt):
-                    return "nilpotent"
-                if nxt == powers[-1]:
-                    return "solvable"
+            powers = [v]
+            for _ in range(n):
+                powers.append(l.bracket(powers[-1], v))
+            if Subspace.span(l.field, n, powers[:n]).dim != n:
+                continue
+            if not any(powers[n]):
+                return "nilpotent"
+            if Subspace.span(l.field, n, powers[n - 1:]).dim == 1:
+                return "solvable"
         return None
 
 
@@ -206,34 +203,29 @@ def symmetric_modular_shape(a: AlgebraAnalysis) -> Optional[str]:
     """Which of the four modular symmetric shapes the algebra matches, if any.
 
     The extraspecial detector (shape iii) is a documented assumption:
-    nilpotent of class <= 2 with Z(L) = L^2 one-dimensional.
+    nilpotent of class <= 2 with L^2 one-dimensional and central.
     """
     l = a.algebra
     full = l.full_subspace()
     l2 = l.product_space(full, full)
-    if l2.dim == 0 and l.is_lie():
-        return "i"
-    if l.is_lie() and a.shape == "almost_abelian_lie":
-        return "ii"
-    if not l.is_lie():
-        nilp, cls = l.is_nilpotent()
-        if (
-            nilp
-            and cls is not None
-            and cls <= 2
-            and l2.dim == 1
-            and l2.leq(l.center())
-        ):
-            j = a.j_subalgebra
-            if l.product_space(j, j).dim == 0 and l.is_ideal(j):
-                return "iii"
-        center = l.center()
-        if (
-            center.dim == 1
-            and center == a.kernel
-            and a.quotient_shape(center) == "almost_abelian_lie"
-        ):
-            return "iv"
+    if l.is_lie():
+        if l2.dim == 0:
+            return "i"
+        if a.shape == "almost_abelian_lie":
+            return "ii"
+        return None
+    nilp, cls = l.is_nilpotent()
+    if nilp and cls is not None and cls <= 2 and l2.dim == 1 and l2.leq(l.center()):
+        j = a.j_subalgebra
+        if l.product_space(j, j).dim == 0 and l.is_ideal(j):
+            return "iii"
+    center = l.center()
+    if (
+        center.dim == 1
+        and center == a.kernel
+        and a.quotient_shape(center) == "almost_abelian_lie"
+    ):
+        return "iv"
     return None
 
 

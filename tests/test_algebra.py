@@ -206,14 +206,12 @@ def test_restrict_matches_subalgebra():
 
 
 def test_classify_shapes():
-    assert catalog.abelian(3, F3).classify_shape().tag == "abelian"
-    assert catalog.almost_abelian_lie(3, F5).classify_shape().tag == "almost_abelian_lie"
-    s = catalog.almost_abelian_nonlie(2, F3).classify_shape()
-    assert s.tag == "almost_abelian_nonlie"
-    assert s.radical == Subspace.span(F3, 2, [(1, 0)])
-    assert catalog.heisenberg_lie(F3).classify_shape().tag == "extraspecial"
-    assert catalog.cyclic_nilpotent(2, F5).classify_shape().tag == "extraspecial"
-    assert catalog.cyclic_solvable(3, F3).classify_shape().tag == "other"
+    assert catalog.abelian(3, F3).classify_shape() == "abelian"
+    assert catalog.almost_abelian_lie(3, F5).classify_shape() == "almost_abelian_lie"
+    assert catalog.almost_abelian_nonlie(2, F3).classify_shape() == "almost_abelian_nonlie"
+    assert catalog.heisenberg_lie(F3).classify_shape() == "extraspecial"
+    assert catalog.cyclic_nilpotent(2, F5).classify_shape() == "extraspecial"
+    assert catalog.cyclic_solvable(3, F3).classify_shape() == "other"
 
 
 def test_classify_shape_invariant_under_basis_change():
@@ -225,7 +223,21 @@ def test_classify_shape_invariant_under_basis_change():
     ):
         for _ in range(10):
             p = catalog.random_invertible(base.field, base.dim, rng)
-            assert base.change_of_basis(p).classify_shape().tag == base.classify_shape().tag
+            assert base.change_of_basis(p).classify_shape() == base.classify_shape()
+
+
+def test_classify_shape_over_the_corpus_matches_golden():
+    # the tag of every seed-7 corpus algebra and of its quotient L/I by the Leibniz kernel
+    rows = []
+    for l in catalog.corpus(7):
+        q = l.quotient(l.leibniz_kernel()).algebra
+        rows.append((l.name, l.classify_shape(), q.classify_shape()))
+    assert len(rows) == 305
+    assert {tag for row in rows for tag in row[1:]} == {
+        "abelian", "almost_abelian_lie", "almost_abelian_nonlie", "extraspecial", "other"
+    }
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "989472ae7b2f1498fe25e67134c535954c12249480070514bd851874d45fb7de"
 
 
 def test_supersolvable():

@@ -23,6 +23,7 @@ from leibnizlat import (
     maximal_subalgebras,
     wqi_elementwise,
 )
+from leibnizlat import lattice as lattice_module
 from leibnizlat.verify import AlgebraAnalysis
 
 F2 = Field.prime(2)
@@ -550,3 +551,84 @@ def test_structure_report():
     assert d["is_nilpotent"] is False
     assert d["dim_frattini"] == 1
     assert d["is_supersolvable"] is True
+
+
+# -- lower covers, coatoms, heights and the Frattini meet against the old scans --
+
+
+def _coatoms_oracle(lat):
+    """The coatoms by one covered_by probe per node against the top."""
+    top = len(lat.nodes) - 1
+    return [i for i in range(top) if lat.covered_by(i, top)]
+
+
+def _heights_oracle(lat):
+    """Node heights by an O(n^2) covered_by scan over all earlier nodes."""
+    height = [0] * len(lat.nodes)
+    for j in range(len(lat.nodes)):
+        below = [i for i in range(j) if lat.covered_by(i, j)]
+        if below:
+            height[j] = 1 + max(height[i] for i in below)
+    return height
+
+
+def _frattini_intersection_oracle(l, lat):
+    """Largest ideal in the Subspace.intersection chain over the coatom oracle's nodes."""
+    inter = l.full_subspace()
+    for i in _coatoms_oracle(lat):
+        inter = inter.intersection(lat.nodes[i])
+    return l.largest_ideal_in(inter)
+
+
+def _pentagon():
+    """N_5: 0 < a < b < 1 and 0 < c < 1, a lattice whose maximal chains differ in length."""
+    upset = [0b11111, 0b10110, 0b10100, 0b11000, 0b10000]  # nodes 0, a, b, c, 1
+    downset = [sum(1 << i for i in range(5) if upset[i] >> j & 1) for j in range(5)]
+    covers_up = [0b01010, 0b00100, 0b10000, 0b10000, 0]
+    nodes = [Subspace(F2, 5, (tuple(int(c == i) for c in range(5)),)) for i in range(5)]
+    return SubalgebraLattice(None, nodes, upset, downset, covers_up)
+
+
+def test_lower_covers_coatoms_heights_and_frattini_match_scans(base_lattices):
+    # on the 86 base members, the workload algebras, L = 0, Pi_4, Pi_5 and N_5
+    cases = list(base_lattices)
+    for family, params, p in _WORKLOAD_ALGEBRAS:
+        l = catalog.FAMILIES[family][0](*params, Field.prime(p))
+        cases.append((l, enumerate_subalgebras(l)))
+    zero = LeibnizAlgebra("zero/F3", F3, 0, ())
+    cases.append((zero, enumerate_subalgebras(zero)))
+    lattices = [lat for _, lat in cases] + [_partition_lattice(m) for m in (4, 5)]
+    lattices.append(_pentagon())
+    assert len(lattices) == 100
+    assert lattice_stats(lattices[-1])["height"] == 3 and lattices[-1].coatoms() == [2, 3]
+    for lat in lattices:
+        n = len(lat)
+        transpose = [sum(1 << i for i in range(n) if lat.covered_by(i, j)) for j in range(n)]
+        assert lat.covers_down == transpose
+        coatoms = _coatoms_oracle(lat)
+        assert lat.coatoms() == coatoms
+        assert lattice_stats(lat) == {
+            "nodes": n,
+            "height": _heights_oracle(lat)[-1],
+            "atoms": len(lat.atoms()),
+            "coatoms": len(coatoms),
+        }
+    for l, lat in cases:
+        assert frattini_ideal(l, lat) == _frattini_intersection_oracle(l, lat), l.name
+    assert frattini_ideal(zero) == Subspace.zero(F3, 0)
+
+
+def test_lower_covers_are_built_once(monkeypatch):
+    # the lower-semimodularity scan reads the lattice's own lower covers
+    lat = enumerate_subalgebras(catalog.almost_abelian_lie(3, F3))  # modular
+    seen = []
+    original = lattice_module._semimodular
+
+    def spy(lat_, meet, join, covers):
+        seen.append(covers)
+        return original(lat_, meet, join, covers)
+
+    monkeypatch.setattr(lattice_module, "_semimodular", spy)
+    is_lower_semimodular_lattice(lat)
+    is_modular(lat)
+    assert len(seen) == 3 and seen[0] is seen[2] is lat.covers_down

@@ -101,3 +101,38 @@ def test_every_module_level_function_is_loaded():
         and loaded[node.name] == sum(1 for name in _loaded_names(node) if name == node.name)
     ]
     assert dead == [], "module-level functions never read: %s" % ", ".join(dead)
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) for the annotated fields of each ``@dataclass`` class,
+    except a class that serialises itself whole with ``asdict``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        if any(isinstance(n, ast.Name) and n.id == "asdict" for n in ast.walk(node)):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield node.name, stmt.target.id, stmt.lineno
+
+
+def test_every_dataclass_field_is_read():
+    """A dataclass field in the package is read as an attribute somewhere in the
+    package, the tests or the benchmark."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in READERS}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        "%s %s.%s (line %d)" % (path.name, cls, name, line)
+        for path in MODULES
+        for cls, name, line in _dataclass_fields(trees[path])
+        if name not in read
+    ]
+    assert unread == [], "dataclass fields never read: %s" % ", ".join(unread)

@@ -296,7 +296,8 @@ def test_lem_cyclic_closes_each_line_once(base_members, monkeypatch):
     for l in base_members:
         an = verify.AlgebraAnalysis(l)
         an.wqi_all  # the all-WQI scan closes lines of its own
-        generator = next((v for v in l.monic_lines() if l.generated_by([v])), None)
+        generators = (v for v in l.monic_lines() if l.subalgebra_closure([v]).dim == l.dim)
+        generator = next(generators, None)
         cases.append((an, generator, _canonical_form_oracle(l)))
     closed = collections.Counter()
     original = LeibnizAlgebra.subalgebra_closure
@@ -315,6 +316,24 @@ def test_lem_cyclic_closes_each_line_once(base_members, monkeypatch):
         assert max(closed.values(), default=0) == 1, an.algebra.name
         forms[form] += 1
     assert forms["nilpotent"] and forms["solvable"] and forms[None], forms
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lem_cyclic_scales_the_generator(n, p):
+    # in the basis (2a, a^2, ..., a^n) every generator v has v^(n+1) = 2 v^n, so
+    # only the scaling v/2 has the canonical power table (v/2)^(n+1) = (v/2)^n
+    f = Field.prime(p)
+    moved = [[2 if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+    l = catalog.cyclic_solvable(n, f).change_of_basis(moved)
+    an = verify.AlgebraAnalysis(l)
+    v = an.cyclic_generator
+    powers = [v]
+    for _ in range(n):
+        powers.append(l.bracket(powers[-1], v))
+    assert powers[n] == tuple(f.scale_row(2, powers[n - 1])) != powers[n - 1]
+    assert an.cyclic_canonical_form() == "solvable"
+    assert verify.run_check("lem-cyclic", l).status == "pass"
 
 
 def _line(l, *row):
