@@ -208,7 +208,7 @@ def _cyclic_nodes(l: LeibnizAlgebra, lat: SubalgebraLattice) -> List[int]:
     for v in l.monic_lines():
         # (v,) is the RREF key of the line Fv; a line that is a node is its own closure
         i = lat._index.get((v,))
-        found.add(i if i is not None else lat.index_of(l.subalgebra_closure([v])))
+        found.add(i if i is not None else lat.index_of(l.cyclic_subalgebra(v)))
     return sorted(found)
 
 
@@ -237,7 +237,7 @@ def wqi_elementwise(l: LeibnizAlgebra, budget: int = 10 ** 6) -> Verdict:
             "p^(2n) = %d exceeds budget %d" % (l.field.p ** (2 * l.dim), budget)
         )
     lines = list(l.monic_lines(budget))
-    generated = [l.subalgebra_closure([v]) for v in lines]
+    generated = [l.cyclic_subalgebra(v) for v in lines]
     sums: Dict[Tuple[tuple, tuple], Subspace] = {}
     for x, gx in zip(lines, generated):
         for y, gy in zip(lines, generated):

@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 from typing import Dict, List, Optional, Sequence
 
 from .linalg import BudgetExceeded, Field, Subspace
-from .algebra import LeibnizAlgebra
+from .algebra import LeibnizAlgebra, Quotient
 from . import lattice as lat_mod
 
 ALMOST_OR_ABELIAN = {"abelian", "almost_abelian_lie", "almost_abelian_nonlie"}
@@ -81,6 +81,7 @@ class AlgebraAnalysis:
         self.elementwise_budget = elementwise_budget
         self.node_budget = node_budget
         self._cyclic: Dict[tuple, Subspace] = {}  # <v>, filled on demand
+        self._quotients: Dict[tuple, Quotient] = {}  # L/I by the basis of I, filled on demand
         self._lattice_error: Optional[BudgetExceeded] = None
 
     @cached_property
@@ -141,8 +142,14 @@ class AlgebraAnalysis:
     def symmetric_shape(self) -> Optional[str]:
         return symmetric_modular_shape(self)
 
+    def quotient(self, ideal: Subspace) -> Quotient:
+        """L/ideal, built at most once per ideal."""
+        if ideal.basis not in self._quotients:
+            self._quotients[ideal.basis] = self.algebra.quotient(ideal)
+        return self._quotients[ideal.basis]
+
     def quotient_shape(self, ideal: Subspace) -> str:
-        return self.algebra.quotient(ideal).algebra.classify_shape()
+        return self.quotient(ideal).algebra.classify_shape()
 
     @cached_property
     def square_zero_lines(self) -> List[tuple]:
@@ -162,7 +169,7 @@ class AlgebraAnalysis:
     def cyclic(self, v: tuple) -> Subspace:
         """The subalgebra <v>, closed at most once per vector."""
         if v not in self._cyclic:
-            self._cyclic[v] = self.algebra.subalgebra_closure([v])
+            self._cyclic[v] = self.algebra.cyclic_subalgebra(v)
         return self._cyclic[v]
 
     @cached_property
@@ -345,7 +352,7 @@ def _dim_two_lie_or_cyclic(a):
 
 def _kernel_passes_to_quotient(a):
     l = a.algebra
-    quotient, project = l.quotient(a.frattini)
+    quotient, project = a.quotient(a.frattini)
     projected = Subspace.span(l.field, quotient.dim, [project(b) for b in a.kernel.basis])
     if quotient.leibniz_kernel() != projected:
         return "kernel of L/phi != I/phi", projected

@@ -1,9 +1,11 @@
+import collections
 import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leibnizlat import (
     AlgebraError,
@@ -16,11 +18,17 @@ from leibnizlat import (
     check_left_leibniz,
     check_right_leibniz,
 )
+from leibnizlat.algebra import (
+    _row_leibniz_violation,
+    left_leibniz_violation,
+    right_leibniz_violation,
+)
 from leibnizlat.linalg import matrix_rank
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
+F31 = Field.prime(31)
 
 
 def test_invalid_tensor_rejected():
@@ -354,3 +362,81 @@ def test_derived_algebra_tables_match_golden():
     assert all(type(x) is Fraction for x in entries)
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "c44815ab2414d07c272cfd01d137f1823cdcc0fd0e0df1343f22095a1686582f"
+
+
+# -- the packed identity scan against the row scan -----------------------------
+# Over F_p the identity scans add packed rows; the row scan, the path over Q,
+# is the oracle: the same first violating triple, right and left.
+
+
+def _scans_agree(f, table):
+    """(right, left) first violating triples, after checking both against the row scan."""
+    found = (right_leibniz_violation(f, table), left_leibniz_violation(f, table))
+    assert found == tuple(_row_leibniz_violation(f, table, left) for left in (False, True))
+    return found
+
+
+def test_packed_scan_matches_row_scan_on_dim0_the_corpus_and_every_dim2_tensor():
+    tables = [(F5, ())] + [(l.field, l.table) for l in catalog.corpus(7)]
+    tables += [
+        (F2, ((flat[0:2], flat[2:4]), (flat[4:6], flat[6:8])))
+        for flat in itertools.product(range(2), repeat=8)
+    ]
+    outcomes = collections.Counter()
+    for f, table in tables:
+        right, left = _scans_agree(f, table)
+        outcomes[right is None, left is None] += 1
+    assert len(tables) == 1 + 305 + 256
+    assert len(outcomes) == 4, outcomes  # every mix of right and left verdicts
+
+
+_PLANT_FAMILIES = (
+    catalog.abelian,
+    catalog.cyclic_nilpotent,
+    catalog.cyclic_solvable,
+    catalog.almost_abelian_lie,
+    catalog.almost_abelian_nonlie,
+)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_packed_scan_finds_the_row_scans_first_planted_defect(data):
+    f = data.draw(st.sampled_from((F2, F3, F5, F31)))
+    family = data.draw(st.sampled_from(_PLANT_FAMILIES))
+    n = data.draw(st.integers(1 if family in _PLANT_FAMILIES[:2] else 2, 6))
+    l = family(n, f)
+    if data.draw(st.booleans()):  # dense tables
+        rng = random.Random(data.draw(st.integers(0, 99)))
+        l = l.change_of_basis(catalog.random_invertible(f, n, rng))
+    table = [[list(row) for row in plane] for plane in l.table]
+    index = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j, k = data.draw(index), data.draw(index), data.draw(index)
+        table[i][j][k] = data.draw(st.integers(-f.p, 2 * f.p))  # raw entries are reduced
+    _scans_agree(f, table)
+
+
+def test_packed_scan_holds_on_a_dense_f31_algebra():
+    # entries up to 30 in every field: a field width sized without the offset
+    # carries here and reports a false violation
+    l = catalog.cyclic_solvable(8, F31).change_of_basis(
+        catalog.random_invertible(F31, 8, random.Random(5))
+    )
+    entries = [x for plane in l.table for row in plane for x in row]
+    assert sum(1 for x in entries if x) > len(entries) // 2
+    right, left = _scans_agree(F31, l.table)
+    assert right is None and left is not None
+
+
+def test_cyclic_subalgebra_is_the_closure_of_one_vector():
+    lines = 0
+    for l in catalog.corpus(7):
+        for v in l.monic_lines():
+            assert l.cyclic_subalgebra(v) == l.subalgebra_closure([v]), (l.name, v)
+            lines += 1
+    assert lines == 4379
+    q = Field.rational()
+    for l in (catalog.cyclic_solvable(4, q), catalog.cyclic_nilpotent(4, q)):
+        for v in ((0, 0, 0, 0), (1, 0, 0, 0), (Fraction(1, 2), -2, 3, 0), (0, 1, 1, 1)):
+            assert l.cyclic_subalgebra(v) == l.subalgebra_closure([v]), (l.name, v)

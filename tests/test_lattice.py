@@ -24,6 +24,7 @@ from leibnizlat import (
     wqi_elementwise,
 )
 from leibnizlat import lattice as lattice_module
+from leibnizlat.algebra import left_leibniz_violation, right_leibniz_violation
 from leibnizlat.verify import AlgebraAnalysis
 
 F2 = Field.prime(2)
@@ -463,12 +464,13 @@ def test_wqi_elementwise_witness_on_failing_algebras(field):
 
 def test_lattice_scans_make_no_per_scalar_field_calls(monkeypatch):
     # Rows are reduced by Field's row methods; a per-scalar loop creeping back
-    # into the subspace filter, the order build, the element scan or
-    # lem-cyclic's scaled candidates shows here.
+    # into the subspace filter, the order build, the element scan,
+    # lem-cyclic's scaled candidates or the F_p identity scans shows here.
     l = catalog.cyclic_solvable(3, F3)
+    dense = l.change_of_basis(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     analysis = AlgebraAnalysis(l)
     calls = {}
-    for name in ("add", "sub", "mul", "normalize"):
+    for name in ("add", "sub", "mul", "neg", "normalize"):
         def spy(self, *args, _name=name, _original=getattr(Field, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(self, *args)
@@ -477,6 +479,8 @@ def test_lattice_scans_make_no_per_scalar_field_calls(monkeypatch):
     enumerate_subalgebras(l)
     wqi_elementwise(l)
     assert analysis.cyclic_canonical_form() == "solvable"
+    assert right_leibniz_violation(F3, dense.table) is None
+    assert left_leibniz_violation(F3, dense.table) is not None
     assert calls == {}
     assert F3.mul(2, 2) == 1 and calls == {"mul": 1}  # the spies are live
 

@@ -136,3 +136,20 @@ def test_every_dataclass_field_is_read():
         if name not in read
     ]
     assert unread == [], "dataclass fields never read: %s" % ", ".join(unread)
+
+
+def test_no_one_vector_subalgebra_closure():
+    """<v> comes from ``cyclic_subalgebra``, the span of the powers of v, not from
+    the general closure of a one-vector list."""
+    calls = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "subalgebra_closure"
+        and node.args
+        and isinstance(node.args[0], (ast.List, ast.Tuple))
+        and len(node.args[0].elts) == 1
+    ]
+    assert calls == [], "one-vector subalgebra_closure calls: %s" % ", ".join(calls)

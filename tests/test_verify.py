@@ -300,13 +300,13 @@ def test_lem_cyclic_closes_each_line_once(base_members, monkeypatch):
         generator = next(generators, None)
         cases.append((an, generator, _canonical_form_oracle(l)))
     closed = collections.Counter()
-    original = LeibnizAlgebra.subalgebra_closure
+    original = LeibnizAlgebra.cyclic_subalgebra
 
-    def spy(self, vectors):
-        closed[tuple(vectors)] += 1
-        return original(self, vectors)
+    def spy(self, v):
+        closed[v] += 1
+        return original(self, v)
 
-    monkeypatch.setattr(LeibnizAlgebra, "subalgebra_closure", spy)
+    monkeypatch.setattr(LeibnizAlgebra, "cyclic_subalgebra", spy)
     forms = collections.Counter()
     for an, generator, form in cases:
         closed.clear()
@@ -316,6 +316,20 @@ def test_lem_cyclic_closes_each_line_once(base_members, monkeypatch):
         assert max(closed.values(), default=0) == 1, an.algebra.name
         forms[form] += 1
     assert forms["nilpotent"] and forms["solvable"] and forms[None], forms
+
+
+def test_each_quotient_is_built_once(base_members, monkeypatch):
+    # L/phi, L/I and L/Z(L) are read by several checks through one memo per algebra
+    built = collections.Counter()
+    original = LeibnizAlgebra.quotient
+
+    def spy(self, ideal):
+        built[id(self), ideal.basis] += 1  # the members stay alive in the fixture
+        return original(self, ideal)
+
+    monkeypatch.setattr(LeibnizAlgebra, "quotient", spy)
+    verify.run_suite(base_members)
+    assert len(built) > 100 and max(built.values()) == 1, built.most_common(1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
