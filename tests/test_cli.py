@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -71,6 +72,39 @@ def test_analyze(spec_path, capsys):
     out = capsys.readouterr().out
     assert "is_solvable: True" in out
     assert "dim_frattini: 1" in out
+
+
+_ANALYZE_SPECS = [
+    ("cyclic_solvable", ["3"]),
+    ("almost_abelian_lie", ["3"]),
+    ("almost_abelian_nonlie", ["3"]),
+    ("family_nonlie_ii", ["2", "1"]),
+    ("family_sqrt", ["1", "1"]),
+    ("symmetric_iv", ["1"]),
+    ("extraspecial_plus_center", ["1"]),
+    ("heisenberg_lie", []),
+]
+
+
+def test_analyze_output_is_pinned(tmp_path, capsys):
+    # every emitted spec over F_2, F_3 and F_5 that the family builds (22 of 24)
+    outputs = []
+    for family, params in _ANALYZE_SPECS:
+        for p in (2, 3, 5):
+            path = tmp_path / ("%s_%d.json" % (family, p))
+            emit = ["catalog", "emit", family, *params, "--field", "p=%d" % p, "--out", str(path)]
+            if main(emit) != EXIT_OK:
+                capsys.readouterr()
+                continue
+            assert main(["analyze", str(path)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+    assert len(outputs) == 22
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+    assert digest == "59f75d66bf33b6901c6b7b59cccb11bdbc76e0ffb56f3aed6033e78c0fdffd9a"
+    # the element-scan budget is met first: 3^3 vectors against 10
+    over_budget = ["analyze", str(tmp_path / "cyclic_solvable_3.json"), "--budget", "10"]
+    assert main(over_budget) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: p^n = 27 exceeds budget 10\n"
 
 
 def test_lattice_with_exports(spec_path, tmp_path, capsys, monkeypatch):

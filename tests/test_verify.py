@@ -2,15 +2,18 @@ import collections
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leibnizlat import BudgetExceeded, Field, LeibnizAlgebra, Subspace, catalog, verify
+from leibnizlat import BudgetExceeded, Field, LeibnizAlgebra, Subspace, catalog, lattice, verify
 from leibnizlat.lattice import Verdict
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
+F7 = Field.prime(7)
 
 
 def test_checks_registry_complete():
@@ -194,16 +197,50 @@ def _square_zero_lines_oracle(l):
     return out
 
 
-def test_square_zero_lines_match_vector_scan(base_members):
-    for l in base_members:
-        an = verify.AlgebraAnalysis(l)
-        vectors = l.square_zero_vectors()
-        assert an.square_zero_lines == _square_zero_lines_oracle(l), l.name
-        assert an.j_subalgebra == l.subalgebra_closure(vectors), l.name
-        assert l.square_zero_subalgebra() == l.subalgebra_closure(vectors), l.name
-        # the span that cor-J-span compares with J
-        span = Subspace.span(l.field, l.dim, an.square_zero_lines)
-        assert span == Subspace.span(l.field, l.dim, vectors), l.name
+def _square_zero_routes_agree(l):
+    """The atoms, J, the generators and analyze's J against scans over all vectors."""
+    an = verify.AlgebraAnalysis(l)
+    vectors = l.square_zero_vectors()
+    lines = _square_zero_lines_oracle(l)
+    lat = an.lattice
+    assert [lat.nodes[i].basis[0] for i in lat.atoms()] == lines, l.name
+    assert an.square_zero_lines == lines, l.name
+    j = l.subalgebra_closure(vectors)
+    assert an.j_subalgebra == j == l.square_zero_subalgebra(), l.name
+    assert lattice.build_structure_report(l).dim_square_zero == j.dim, l.name
+    generators = (v for v in l.monic_lines() if l.subalgebra_closure([v]).dim == l.dim)
+    assert an.cyclic_generator == next(generators, None), l.name
+    # the span that cor-J-span compares with J
+    span = Subspace.span(l.field, l.dim, an.square_zero_lines)
+    assert span == Subspace.span(l.field, l.dim, vectors), l.name
+
+
+_FAMILY_MEMBERS = [
+    catalog.abelian,
+    catalog.cyclic_nilpotent,
+    catalog.cyclic_solvable,
+    catalog.almost_abelian_lie,
+    catalog.almost_abelian_nonlie,
+]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def _square_zero_routes_agree_after_a_basis_change(data):
+    f = data.draw(st.sampled_from((F2, F3, F5, F7)))
+    family = data.draw(st.sampled_from(_FAMILY_MEMBERS))
+    low = 1 if family in _FAMILY_MEMBERS[:2] else 2
+    n = data.draw(st.integers(low, 4 if f.p <= 3 else 3))
+    rng = random.Random(data.draw(st.integers(0, 99)))
+    _square_zero_routes_agree(family(n, f).change_of_basis(catalog.random_invertible(f, n, rng)))
+
+
+def test_square_zero_lines_match_vector_scan():
+    members = catalog.corpus(7)
+    assert len(members) == 305
+    for l in members:
+        _square_zero_routes_agree(l)
+    _square_zero_routes_agree_after_a_basis_change()
 
 
 def _sl2(f):
