@@ -380,8 +380,8 @@ class LeibnizAlgebra:
         almost = self._almost_abelian_shape(l2)
         if almost is not None:
             return almost
-        nilp, cls = self.is_nilpotent()
-        if nilp and cls is not None and cls <= 2 and l2.dim == 1 and self.center() == l2:
+        # L^2 = Z(L) gives L^3 = 0, so L is nilpotent of class 2 without a series
+        if l2.dim == 1 and self.center() == l2:
             return "extraspecial"
         return "other"
 

@@ -13,7 +13,7 @@ import random
 from typing import Iterator, List
 
 from .linalg import Field, LinalgError, matrix_rank
-from .algebra import MAX_DIM, AlgebraError, LeibnizAlgebra, check_right_leibniz
+from .algebra import MAX_DIM, AlgebraError, LeibnizAlgebra
 
 
 def _empty_table(f: Field, n: int):
@@ -201,15 +201,12 @@ def exhaustive_dim2(f: Field) -> Iterator[LeibnizAlgebra]:
             ((flat[0], flat[1]), (flat[2], flat[3])),
             ((flat[4], flat[5]), (flat[6], flat[7])),
         )
-        if check_right_leibniz(f, table):
-            count += 1
-            yield LeibnizAlgebra(
-                name="dim2_F2_#%03d" % count,
-                field=f,
-                dim=2,
-                table=table,
-                family="exhaustive_dim2",
-            )
+        try:
+            l = LeibnizAlgebra("dim2_F2_#%03d" % (count + 1), f, 2, table, "exhaustive_dim2")
+        except AlgebraError:  # the tensor violates the right Leibniz identity
+            continue
+        count += 1
+        yield l
 
 
 def random_invertible(f: Field, n: int, rng: random.Random):

@@ -270,6 +270,14 @@ def frattini_ideal(l: LeibnizAlgebra, lat: Optional[SubalgebraLattice] = None) -
     return l.largest_ideal_in(lat.nodes[reduce(lat.meet_index, lat.coatoms(), top)])
 
 
+def join_of_atoms(lat: SubalgebraLattice) -> Subspace:
+    """J, the subalgebra generated by the square-zero elements. [L, I] = 0 for the Leibniz
+    kernel I, so v^2 = cv gives c^2 v = [v, v^2] = 0: a line Fv is a subalgebra iff v^2 = 0.
+    And (v^2)^2 = 0, so <v> holds the square-zero line Fv or F v^2. The atoms are thus
+    exactly the square-zero lines (none when L = 0), and J is their join."""
+    return lat.nodes[reduce(lat.join_index, lat.atoms(), 0)]
+
+
 # -- summary ---------------------------------------------------------------
 
 
@@ -288,17 +296,16 @@ def lattice_stats(lat: SubalgebraLattice) -> dict:
 
 
 def build_structure_report(l: LeibnizAlgebra, budget: int = 10 ** 6) -> StructureReport:
-    """Full invariant report; lattice-derived fields are None over the rationals."""
+    """Full invariant report; lattice-derived fields are None over the rationals.
+    The budget bounds the line scan of the supersolvability test."""
     nilp, cls = l.is_nilpotent()
     solv, dlen = l.is_solvable()
-    finite = l.field.is_prime_field
-    dim_j = None
-    dim_phi = None
-    ssolv = None
-    if finite:
-        dim_j = l.square_zero_subalgebra(budget).dim
+    dim_j = dim_phi = ssolv = None
+    if l.field.is_prime_field:
         ssolv = l.is_supersolvable(budget)
-        dim_phi = frattini_ideal(l).dim
+        lat = enumerate_subalgebras(l)
+        dim_j = join_of_atoms(lat).dim
+        dim_phi = frattini_ideal(l, lat).dim
     full = l.full_subspace()
     return StructureReport(
         name=l.name,

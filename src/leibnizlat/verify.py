@@ -80,8 +80,8 @@ class AlgebraAnalysis:
         self.scan_budget = scan_budget
         self.elementwise_budget = elementwise_budget
         self.node_budget = node_budget
-        self._cyclic: Dict[tuple, Subspace] = {}  # <v>, filled on demand
         self._quotients: Dict[tuple, Quotient] = {}  # L/I by the basis of I, filled on demand
+        self._quotient_shapes: Dict[tuple, str] = {}  # the shape of L/I, likewise
         self._lattice_error: Optional[BudgetExceeded] = None
 
     @cached_property
@@ -124,7 +124,7 @@ class AlgebraAnalysis:
 
     @cached_property
     def j_subalgebra(self) -> Subspace:
-        return self.algebra.subalgebra_closure(self.square_zero_lines)
+        return lat_mod.join_of_atoms(self.lattice)
 
     @cached_property
     def j_shape(self) -> str:
@@ -149,53 +149,49 @@ class AlgebraAnalysis:
         return self._quotients[ideal.basis]
 
     def quotient_shape(self, ideal: Subspace) -> str:
-        return self.quotient(ideal).algebra.classify_shape()
+        """The shape of L/ideal, classified at most once per ideal."""
+        if ideal.basis not in self._quotient_shapes:
+            self._quotient_shapes[ideal.basis] = self.quotient(ideal).algebra.classify_shape()
+        return self._quotient_shapes[ideal.basis]
 
     @cached_property
     def square_zero_lines(self) -> List[tuple]:
-        return self.algebra.square_zero_lines(self.scan_budget)
+        """The monic square-zero vectors, one per line: the atoms, in node order."""
+        lat = self.lattice
+        return [lat.nodes[i].basis[0] for i in lat.atoms()]
 
     def generated_by_square_zero_lines(self, count: int) -> bool:
-        """Some ``count`` square-zero lines generate L: their join is the top node."""
-        lat, l = self.lattice, self.algebra
-        # each line is monic, so (v,) is already the RREF basis of its 1-dim node
-        lines = [lat.index_of(Subspace(l.field, l.dim, (v,))) for v in self.square_zero_lines]
+        """Some ``count`` square-zero lines generate L: the join of their atoms is the top."""
+        lat = self.lattice
         top = len(lat) - 1
         return any(
             reduce(lat.join_index, combo) == top
-            for combo in itertools.combinations(lines, count)
+            for combo in itertools.combinations(lat.atoms(), count)
         )
 
-    def cyclic(self, v: tuple) -> Subspace:
-        """The subalgebra <v>, closed at most once per vector."""
-        if v not in self._cyclic:
-            self._cyclic[v] = self.algebra.cyclic_subalgebra(v)
-        return self._cyclic[v]
+    @cached_property
+    def generators(self) -> List[tuple]:
+        """The monic v with <v> = L, in line order: no maximal subalgebra (coatom) holds v."""
+        maximal = lat_mod.maximal_subalgebras(self.lattice)
+        lines = self.algebra.monic_lines(self.scan_budget)
+        return [v for v in lines if not any(m.contains(v) for m in maximal)]
 
     @cached_property
     def cyclic_generator(self):
         """A monic generator of the whole algebra, or None."""
-        if self.algebra.dim == 0:
-            return None
-        for v in self.algebra.monic_lines(self.scan_budget):
-            if self.cyclic(v).dim == self.algebra.dim:
-                return v
-        return None
+        return self.generators[0] if self.generators else None
 
     def cyclic_canonical_form(self) -> Optional[str]:
         """'nilpotent' or 'solvable' if some generator has the canonical power table.
         As (sv)^k = s^k v^k, some s != 0 has (sv)^(n+1) = (sv)^n iff v^(n+1) is a
-        nonzero multiple of v^n, so one power sequence per line decides it."""
+        nonzero multiple of v^n, so one power sequence per line decides it. For a
+        generator v, the powers v, ..., v^n already span <v> = L."""
         l = self.algebra
         n = l.dim
-        for v in l.monic_lines(self.scan_budget):
-            if self.cyclic(v).dim != n:
-                continue
+        for v in self.generators:
             powers = [v]
             for _ in range(n):
                 powers.append(l.bracket(powers[-1], v))
-            if Subspace.span(l.field, n, powers[:n]).dim != n:
-                continue
             if not any(powers[n]):
                 return "nilpotent"
             if Subspace.span(l.field, n, powers[n - 1:]).dim == 1:
@@ -209,24 +205,19 @@ class AlgebraAnalysis:
 def symmetric_modular_shape(a: AlgebraAnalysis) -> Optional[str]:
     """Which of the four modular symmetric shapes the algebra matches, if any.
 
-    The extraspecial detector (shape iii) is a documented assumption:
-    nilpotent of class <= 2 with L^2 one-dimensional and central.
+    The extraspecial detector (shape iii) is a documented assumption: L^2
+    one-dimensional and central, which makes L nilpotent of class 2 (L^3 = 0).
     """
     l = a.algebra
+    if l.is_lie():
+        return {"abelian": "i", "almost_abelian_lie": "ii"}.get(a.shape)
     full = l.full_subspace()
     l2 = l.product_space(full, full)
-    if l.is_lie():
-        if l2.dim == 0:
-            return "i"
-        if a.shape == "almost_abelian_lie":
-            return "ii"
-        return None
-    nilp, cls = l.is_nilpotent()
-    if nilp and cls is not None and cls <= 2 and l2.dim == 1 and l2.leq(l.center()):
+    center = l.center()
+    if l2.dim == 1 and l2.leq(center):
         j = a.j_subalgebra
         if l.product_space(j, j).dim == 0 and l.is_ideal(j):
             return "iii"
-    center = l.center()
     if (
         center.dim == 1
         and center == a.kernel

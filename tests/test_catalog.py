@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from leibnizlat import AlgebraError, Field, catalog, check_right_leibniz
+from leibnizlat import AlgebraError, Field, algebra, catalog, check_right_leibniz
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -100,6 +100,15 @@ def test_exhaustive_dim2_count_and_membership():
             count += 1
             assert t in tables
     assert count == 13
+
+
+def test_exhaustive_dim2_scans_each_tensor_once(monkeypatch):
+    scans = []
+    scan = algebra.right_leibniz_violation
+    monkeypatch.setattr(algebra, "right_leibniz_violation", lambda *a: scans.append(a) or scan(*a))
+    names = [l.name for l in catalog.exhaustive_dim2(F2)]
+    assert names == ["dim2_F2_#%03d" % i for i in range(1, 14)]
+    assert len(scans) == 256  # one per raw tensor, accepted or not
 
 
 def test_exhaustive_dim2_rejects_other_fields():

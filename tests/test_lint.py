@@ -153,3 +153,25 @@ def test_no_one_vector_subalgebra_closure():
         and len(node.args[0].elts) == 1
     ]
     assert calls == [], "one-vector subalgebra_closure calls: %s" % ", ".join(calls)
+
+
+_LATTICE_READERS = {
+    "verify.py": ("subalgebra_closure", "cyclic_subalgebra", "square_zero_lines",
+                  "square_zero_subalgebra"),
+    "lattice.py": ("subalgebra_closure", "square_zero_lines", "square_zero_subalgebra"),
+}
+
+
+def test_the_checks_read_subalgebras_off_the_lattice():
+    """J is the join of the atoms and a generator lies in no coatom, so the check
+    layer closes nothing; lattice.py closes only lines, for the all-WQI and element
+    scans."""
+    calls = [
+        "%s:%d %s" % (name, node.lineno, node.func.attr)
+        for name, banned in _LATTICE_READERS.items()
+        for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in banned
+    ]
+    assert calls == [], "subalgebras built beside the lattice: %s" % ", ".join(calls)

@@ -208,8 +208,9 @@ def _square_zero_routes_agree(l):
     j = l.subalgebra_closure(vectors)
     assert an.j_subalgebra == j == l.square_zero_subalgebra(), l.name
     assert lattice.build_structure_report(l).dim_square_zero == j.dim, l.name
-    generators = (v for v in l.monic_lines() if l.subalgebra_closure([v]).dim == l.dim)
-    assert an.cyclic_generator == next(generators, None), l.name
+    generators = [v for v in l.monic_lines() if l.subalgebra_closure([v]).dim == l.dim]
+    assert an.generators == generators, l.name
+    assert an.cyclic_generator == next(iter(generators), None), l.name
     # the span that cor-J-span compares with J
     span = Subspace.span(l.field, l.dim, an.square_zero_lines)
     assert span == Subspace.span(l.field, l.dim, vectors), l.name
@@ -281,7 +282,7 @@ def test_an_over_budget_lattice_is_enumerated_once(monkeypatch):
     monkeypatch.setattr(verify.lat_mod, "enumerate_subalgebras", spy)
     # 16 and 8 subalgebras, over node budgets of 5 and 3; the checks that
     # reach the lattice report the budget, the others a failed hypothesis
-    cases = ((catalog.abelian(3, F2), 5, 14), (catalog.heisenberg_lie(F3), 3, 13))
+    cases = ((catalog.abelian(3, F2), 5, 15), (catalog.heisenberg_lie(F3), 3, 14))
     for l, node_budget, over in cases:
         an = verify.AlgebraAnalysis(l, node_budget=node_budget)
         reports = [verify.run_check(cid, l, an) for cid in verify.CHECKS]
@@ -328,7 +329,7 @@ def _canonical_form_oracle(l):
     return None
 
 
-def test_lem_cyclic_closes_each_line_once(base_members, monkeypatch):
+def test_lem_cyclic_closes_no_line(base_members, monkeypatch):
     cases = []
     for l in base_members:
         an = verify.AlgebraAnalysis(l)
@@ -336,23 +337,50 @@ def test_lem_cyclic_closes_each_line_once(base_members, monkeypatch):
         generators = (v for v in l.monic_lines() if l.subalgebra_closure([v]).dim == l.dim)
         generator = next(generators, None)
         cases.append((an, generator, _canonical_form_oracle(l)))
-    closed = collections.Counter()
-    original = LeibnizAlgebra.cyclic_subalgebra
-
-    def spy(self, v):
-        closed[v] += 1
-        return original(self, v)
-
-    monkeypatch.setattr(LeibnizAlgebra, "cyclic_subalgebra", spy)
+    closed = []
+    for name in ("cyclic_subalgebra", "subalgebra_closure"):
+        original = getattr(LeibnizAlgebra, name)
+        spy = lambda self, v, original=original: closed.append(v) or original(self, v)
+        monkeypatch.setattr(LeibnizAlgebra, name, spy)
     forms = collections.Counter()
     for an, generator, form in cases:
         closed.clear()
         verify.run_check("lem-cyclic", an.algebra, an)
         assert an.cyclic_generator == generator, an.algebra.name
         assert an.cyclic_canonical_form() == form, an.algebra.name
-        assert max(closed.values(), default=0) == 1, an.algebra.name
+        assert not closed, an.algebra.name  # the generators are read off the coatoms
         forms[form] += 1
     assert forms["nilpotent"] and forms["solvable"] and forms[None], forms
+
+
+def test_each_algebra_is_classified_once(base_members, monkeypatch):
+    # the shapes of L, of J and of each quotient are kept on the analysis
+    classified = collections.Counter()
+    kept = []  # holds every classified algebra, so no id is reused
+    original = LeibnizAlgebra.classify_shape
+
+    def spy(self):
+        classified[id(self)] += 1
+        kept.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LeibnizAlgebra, "classify_shape", spy)
+    verify.run_suite(base_members)
+    assert len(classified) > 100 and max(classified.values()) == 1, len(kept)
+
+
+def test_shape_detectors_run_no_nilpotency_test(base_members, monkeypatch):
+    # L^2 <= Z(L) gives L^3 = 0, so neither extraspecial test needs the series
+    def refuse(self):
+        raise AssertionError("is_nilpotent called on %s" % self.name)
+
+    monkeypatch.setattr(LeibnizAlgebra, "is_nilpotent", refuse)
+    tags = collections.Counter()
+    for l in base_members:
+        tags[l.classify_shape()] += 1
+        if l.is_symmetric():
+            tags[verify.symmetric_modular_shape(verify.AlgebraAnalysis(l))] += 1
+    assert all(tags[t] for t in ("extraspecial", "other", "i", "ii", "iii", "iv", None)), tags
 
 
 def test_each_quotient_is_built_once(base_members, monkeypatch):
