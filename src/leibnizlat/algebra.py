@@ -420,15 +420,21 @@ class LeibnizAlgebra:
 
     def change_of_basis(self, p_matrix: Sequence[Sequence[Scalar]]) -> "LeibnizAlgebra":
         """New algebra on the basis f_i = sum_j P[i][j] e_j."""
-        f = self.field
-        p = tuple(tuple(f.normalize_row(row)) for row in p_matrix)
-        pinv_cols = list(zip(*invert_matrix(f, p)))
+        return _change_of_basis(self, p_matrix, self.name + "'")
 
-        def to_new_coords(v: Vector) -> Vector:
-            sums = [sum((a * b for a, b in zip(v, c) if a and b), f.zero()) for c in pinv_cols]
-            return tuple(f.normalize_row(sums))
 
-        return self._induced(self.name + "'", p, to_new_coords, self.family)
+def _change_of_basis(l: LeibnizAlgebra, p_matrix, name: str) -> LeibnizAlgebra:
+    """l.change_of_basis(p_matrix) built under ``name``, so a copy that is named
+    otherwise (the corpus's ``@basis`` copies) is validated once, not rebuilt."""
+    f = l.field
+    p = tuple(tuple(f.normalize_row(row)) for row in p_matrix)
+    pinv_cols = list(zip(*invert_matrix(f, p)))
+
+    def to_new_coords(v: Vector) -> Vector:
+        sums = [sum((a * b for a, b in zip(v, c) if a and b), f.zero()) for c in pinv_cols]
+        return tuple(f.normalize_row(sums))
+
+    return l._induced(name, p, to_new_coords, l.family)
 
 
 @dataclass

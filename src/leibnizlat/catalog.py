@@ -13,7 +13,7 @@ import random
 from typing import Iterator, List
 
 from .linalg import Field, LinalgError, matrix_rank
-from .algebra import MAX_DIM, AlgebraError, LeibnizAlgebra
+from .algebra import MAX_DIM, AlgebraError, LeibnizAlgebra, _change_of_basis
 
 
 def _empty_table(f: Field, n: int):
@@ -257,15 +257,6 @@ def corpus(seed: int, variants: int = 3) -> List[LeibnizAlgebra]:
         out.append(base)
         for v in range(variants):
             p = random_invertible(base.field, base.dim, rng)
-            changed = base.change_of_basis(p)
-            out.append(
-                LeibnizAlgebra(
-                    name="%s@basis%d" % (base.name, v + 1),
-                    field=changed.field,
-                    dim=changed.dim,
-                    table=changed.table,
-                    family=base.family,
-                )
-            )
+            out.append(_change_of_basis(base, p, "%s@basis%d" % (base.name, v + 1)))
     out.extend(exhaustive_dim2(Field.prime(2)))
     return out

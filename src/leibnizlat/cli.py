@@ -104,7 +104,7 @@ def _cmd_verify(args) -> int:
     if ids:
         unknown = [i for i in ids if i not in verify_mod.CHECKS]
         if unknown:
-            raise CliError("unknown check ids: %s" % ", ".join(unknown))
+            raise CliError("unknown check ids: %s" % ", ".join(map(repr, unknown)))
     summary = verify_mod.run_suite(algebras, ids)
     summary["seed"] = args.seed if args.corpus else None
     print("%-16s %6s %6s %6s" % ("check", "pass", "fail", "n/a"))

@@ -449,8 +449,9 @@ def run_suite(
     scan_budget: int = DEFAULT_SCAN_BUDGET,
     elementwise_budget: int = DEFAULT_ELEMENTWISE_BUDGET,
 ) -> dict:
-    """Run checks over a corpus; any fail is a hard suite failure."""
-    ids = list(check_ids) if check_ids else list(CHECKS)
+    """Run checks over a corpus; any fail is a hard suite failure. A repeated id
+    runs once, at its first place."""
+    ids = list(dict.fromkeys(check_ids or CHECKS))
     summary: Dict[str, dict] = {
         cid: {"pass": 0, "fail": 0, "not_applicable": 0, "failures": []} for cid in ids
     }

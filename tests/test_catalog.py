@@ -116,6 +116,19 @@ def test_exhaustive_dim2_rejects_other_fields():
         list(catalog.exhaustive_dim2(F3))
 
 
+def test_corpus_validates_each_member_once(monkeypatch):
+    # 73 family constructions, 256 raw dim-2 tensors, one construction per @basis copy
+    scans = []
+    scan = algebra.right_leibniz_violation
+    monkeypatch.setattr(algebra, "right_leibniz_violation", lambda *a: scans.append(a) or scan(*a))
+    members = catalog.corpus(7)
+    assert len(scans) == 548
+    copies = [l for l in members if "@basis" in l.name]
+    assert len(copies) == 219
+    bases = {l.name: l for l in members if "@basis" not in l.name}
+    assert all(l.family == bases[l.name.split("@")[0]].family for l in copies)
+
+
 def test_corpus_deterministic():
     c1 = catalog.corpus(42)
     c2 = catalog.corpus(42)

@@ -148,6 +148,20 @@ def test_verify_unknown_check(spec_path):
     assert main(["verify", spec_path, "--checks", "nope"]) == EXIT_INPUT_ERROR
 
 
+def test_verify_quotes_unknown_check_ids(spec_path, capsys):
+    # a trailing comma names the empty id, which the message must show, not leave blank
+    assert main(["verify", spec_path, "--checks", "lem-qi,,nope"]) == EXIT_INPUT_ERROR
+    assert "unknown check ids: '', 'nope'" in capsys.readouterr().err
+
+
+def test_verify_counts_a_repeated_check_once(tmp_path, capsys):
+    path = tmp_path / "heisenberg.json"
+    path.write_text(emit_spec(catalog.heisenberg_lie(Field.prime(3))))
+    assert main(["verify", str(path), "--checks", "lem-qi,lem-kernel,lem-qi"]) == EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:3]]
+    assert rows == [["lem-kernel", "0", "0", "1"], ["lem-qi", "1", "0", "0"]]
+
+
 def test_verify_needs_input():
     assert main(["verify"]) == EXIT_INPUT_ERROR
 

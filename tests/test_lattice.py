@@ -428,14 +428,13 @@ def test_wqi_elementwise_matches_lattice_verdict():
         assert wqi_elementwise(l).holds == all_subalgebras_wqi(l, lat).holds, l.name
 
 
-def test_wqi_elementwise_matches_all_vector_oracle(base_lattices):
-    # exact (holds, witness) equality: the monic scan finds the same first failing pair;
-    # the basis copies are those with p >= 3 that lem-qi scans in the corpus
-    members = [l for l, _ in base_lattices]
-    members += [
-        l
-        for l in catalog.corpus(7)
-        if "@basis" in l.name and l.field.p >= 3 and l.field.p ** (2 * l.dim) <= 10 ** 4
+def test_wqi_elementwise_matches_all_vector_oracle():
+    # exact (holds, witness) equality: the monic scan finds the same first failing pair,
+    # on the 86 base members and every seed-7 member within lem-qi's element budget
+    in_budget = [l for l in catalog.corpus(7) if l.field.p ** (2 * l.dim) <= 10 ** 4]
+    assert len(in_budget) == 265
+    members = in_budget + [
+        l for l in catalog.corpus(7) if "@basis" not in l.name and l.field.p ** (2 * l.dim) > 10 ** 4
     ]
     failing = set()
     for l in members:
@@ -443,7 +442,54 @@ def test_wqi_elementwise_matches_all_vector_oracle(base_lattices):
         assert tuple(verdict) == _wqi_elementwise_oracle(l), l.name
         if not verdict.holds:
             failing.add(l.name)
-    assert {"heisenberg/F3", "heisenberg/F5", "heisenberg/F3@basis2"} <= failing
+    assert {"heisenberg/F2", "heisenberg/F3", "heisenberg/F5", "heisenberg/F3@basis2"} <= failing
+
+
+def _planted_e0e1(f):
+    """[e_0, e_1] = e_2 and every other bracket 0: e_2 is not in <e_0> + <e_1> = span{e_0, e_1}."""
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    table[0][1][2] = 1
+    return LeibnizAlgebra("e0e1=e2/F%d" % f.p, f, 3, tuple(tuple(map(tuple, p)) for p in table))
+
+
+def test_wqi_elementwise_matches_oracle_in_small_dims_and_wide_fields():
+    # dims 0 and 1, and the widest packed fields within budget 10^6: F_7 at dim 3, with a
+    # planted failure (heisenberg/F7 is in the witness test below), and F_13 at dim 2, where
+    # [x,y] lies in <x> + <y> always (span{x,y} is all of L, or y = cx and [x,cx] = c x^2)
+    rng = random.Random(13)
+    algebras = [catalog.abelian(0, F3), catalog.abelian(1, F2), catalog.abelian(1, Field.prime(31))]
+    algebras.append(_planted_e0e1(F7))
+    for base in (_planted_e0e1(F7), catalog.cyclic_solvable(3, F7)):
+        algebras.append(base.change_of_basis(catalog.random_invertible(F7, 3, rng)))
+    f13 = Field.prime(13)
+    for make in (catalog.cyclic_solvable, catalog.almost_abelian_lie, catalog.almost_abelian_nonlie):
+        algebras.append(make(2, f13).change_of_basis(catalog.random_invertible(f13, 2, rng)))
+    failing = set()
+    for l in algebras:
+        verdict = wqi_elementwise(l, budget=10 ** 6)
+        assert tuple(verdict) == _wqi_elementwise_oracle(l), l.name
+        if not verdict.holds:
+            failing.add(l.name)
+    assert failing == {"e0e1=e2/F7", "e0e1=e2/F7'"}
+
+
+def test_wqi_elementwise_pair_loop_calls_no_bracket_or_contains(monkeypatch):
+    # the pairs read packed images and check functionals: every bracket and contains
+    # call left is one the per-line cyclic subalgebras make
+    l = catalog.cyclic_solvable(3, F3).change_of_basis(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    calls = {}
+    for cls, name in ((LeibnizAlgebra, "bracket"), (Subspace, "contains")):
+        def spy(*args, _name=name, _original=getattr(cls, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, spy)
+    for v in l.monic_lines():
+        l.cyclic_subalgebra(v)
+    per_line = dict(calls)
+    calls.clear()
+    assert wqi_elementwise(l) == (True, None)
+    assert calls == per_line
 
 
 @pytest.mark.parametrize("field", [F3, F5, F7])

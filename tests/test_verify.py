@@ -147,6 +147,13 @@ def test_run_suite_small():
         assert entry["fail"] == 0
 
 
+def test_run_suite_runs_a_repeated_check_once():
+    summary = verify.run_suite([catalog.heisenberg_lie(F3)], ["lem-qi", "lem-two", "lem-qi"])
+    assert list(summary["checks"]) == ["lem-qi", "lem-two"]
+    entry = summary["checks"]["lem-qi"]
+    assert (entry["pass"], entry["fail"], entry["not_applicable"]) == (1, 0, 0)
+
+
 def test_analysis_cached_lattice_shared():
     l = catalog.cyclic_solvable(3, F3)
     a = verify.AlgebraAnalysis(l)
