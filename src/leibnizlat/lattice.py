@@ -233,12 +233,13 @@ def wqi_elementwise(l: LeibnizAlgebra, budget: int = 10 ** 6) -> Verdict:
     Rows are ints of b-bit fields, reduced mod p only where read. The images
     [x,e_j] = sum_i x_i [e_i,e_j] are packed once per line x, so [x,y] =
     sum_j y_j [x,e_j] is at most n multiply-adds, with fields up to n^2 (p-1)^3.
-    v lies in S = <x> + <y> iff h(v) = 0 mod p for each check functional h of S
+    v lies in a subspace S iff h(v) = 0 mod p for each check functional h of S
     (``_check_functionals``); h is packed in reverse, so field n-1 of v * h is
     h(v), n products of at most n^2 (p-1)^3 (p-1) each: b bits hold n^3 (p-1)^4,
-    and no field carries. The pairs run in the same order and each decides as
-    before, so the witness is unchanged. Functionals are kept per unordered pair
-    of cyclic subalgebras, since <x> + <y> = <y> + <x>.
+    and no field carries. A bracket in <x> or in <y> passes with no sum, and the
+    functionals of <x> + <y> = <y> + <x> are kept per unordered pair of cyclic
+    subalgebras. The pairs run in the same order and each decides as before,
+    so the witness is unchanged.
     """
     if not l.field.is_prime_field:
         raise UnsupportedFieldError("element scan needs a finite prime field")
@@ -251,27 +252,30 @@ def wqi_elementwise(l: LeibnizAlgebra, budget: int = 10 ** 6) -> Verdict:
     generated = [l.cyclic_subalgebra(v) for v in lines]
     ids: Dict[tuple, int] = {}
     gid = [ids.setdefault(g.basis, len(ids)) for g in generated]
-    m = len(ids)
     b = max(1, (n ** 3 * (p - 1) ** 4).bit_length())
-    shifts = range(0, b * n, b)
-    table = [[sum([c << s for c, s in zip(row, shifts)]) for row in plane] for plane in l.table]
+    table = [[sum([c << b * k for k, c in enumerate(row)]) for row in plane] for plane in l.table]
     top, mask = b * (n - 1), (1 << b) - 1
+    scan = list(zip(lines, generated, gid, [_check_functionals(g, b) for g in generated]))
+
+    def outside(w: int, h: List[int]) -> bool:
+        return any((w * hf >> top & mask) % p for hf in h)
+
     checks: Dict[int, List[int]] = {}
-    for x, gx, a in zip(lines, generated, gid):
+    for x, gx, a, hx in scan:
         images = [sum([xi * table[i][j] for i, xi in enumerate(x) if xi]) for j in range(n)]
         if not any(images):
             continue
-        for y, gy, c in zip(lines, generated, gid):
+        for y, gy, c, hy in scan:
             w = sum([yj * im for yj, im in zip(y, images) if yj])
             if not w:
                 continue
-            key = a * m + c if a <= c else c * m + a
+            key = 1 << a | 1 << c  # the unordered pair {<x>, <y>}
             h = checks.get(key)
             if h is None:
-                if not any((w >> s & mask) % p for s in shifts):
-                    continue  # [x,y] = 0 mod p: no sum is needed yet
+                if not (outside(w, hx) and outside(w, hy)):
+                    continue  # [x,y] lies in <x> or in <y>: no sum is needed yet
                 h = checks[key] = _check_functionals(gx.sum(gy), b)
-            if any((w * hf >> top & mask) % p for hf in h):
+            if outside(w, h):
                 return Verdict(False, (x, y))
     return Verdict(True, None)
 
