@@ -38,14 +38,22 @@ def _parse_field(spec: str) -> Field:
 
 def _load(path: str) -> LeibnizAlgebra:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError("cannot read %s: %s" % (path, exc)) from None
     try:
         return parse_spec(text)
     except SpecError as exc:
         raise CliError("%s: %s" % (path, exc)) from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (path, exc)) from None
 
 
 def _cmd_check(args) -> int:
@@ -85,11 +93,9 @@ def _cmd_lattice(args) -> int:
         print("%s: %s" % (key, str(holds).lower()))
     print("frattini_dim: %d" % an.frattini.dim)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(export_dot(an.lattice))
+        _write(args.dot, export_dot(an.lattice))
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(export_json_report({"algebra": l.name, "stats": stats, **verdicts}))
+        _write(args.json, export_json_report({"algebra": l.name, "stats": stats, **verdicts}))
     return EXIT_OK
 
 
@@ -101,10 +107,9 @@ def _cmd_verify(args) -> int:
     else:
         raise CliError("verify needs a file or --corpus")
     ids = args.checks.split(",") if args.checks else None
-    if ids:
-        unknown = [i for i in ids if i not in verify_mod.CHECKS]
-        if unknown:
-            raise CliError("unknown check ids: %s" % ", ".join(map(repr, unknown)))
+    unknown = [i for i in ids or () if i not in verify_mod.CHECKS]
+    if unknown:
+        raise CliError("unknown check ids: %s" % ", ".join(map(repr, unknown)))
     summary = verify_mod.run_suite(algebras, ids)
     summary["seed"] = args.seed if args.corpus else None
     print("%-16s %6s %6s %6s" % ("check", "pass", "fail", "n/a"))
@@ -118,8 +123,7 @@ def _cmd_verify(args) -> int:
         print("note: %s" % note)
     print("result: %s" % ("ok" if summary["ok"] else "FAILED"))
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(export_json_report(summary))
+        _write(args.json, export_json_report(summary))
     return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
 
 
@@ -133,20 +137,21 @@ def _cmd_catalog(args) -> int:
         raise CliError("catalog emit needs a family name")
     if args.family not in catalog.FAMILIES:
         raise CliError("unknown family %r (try 'catalog list')" % args.family)
-    builder, _ = catalog.FAMILIES[args.family]
+    builder, usage = catalog.FAMILIES[args.family]
     f = _parse_field(args.field)
     try:
         params = [int(x) for x in args.params]
     except ValueError:
         raise CliError("family parameters must be integers") from None
+    if len(params) != usage.count("<"):  # one <...> slot per parameter
+        raise CliError("wrong number of parameters; usage: %s" % usage)
     try:
         l = builder(*params, f)
-    except (TypeError, AlgebraError) as exc:
+    except AlgebraError as exc:
         raise CliError("cannot build %s%r: %s" % (args.family, tuple(params), exc)) from None
     text = emit_spec(l)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

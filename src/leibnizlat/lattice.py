@@ -16,6 +16,7 @@ subalgebras decide it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
@@ -108,13 +109,14 @@ def enumerate_subalgebras(
             nodes.append(s)
             if len(nodes) > node_budget:
                 raise BudgetExceeded("subalgebra count exceeds node budget %d" % node_budget)
-    # enumerate_subspaces already yields in (dim, key) order
+    # nodes come in (dim, key) order, and U <= V with dim U = dim V gives U = V
     n = len(nodes)
-    upset = [0] * n
-    downset = [0] * n
+    dims = [s.dim for s in nodes]
+    upset = [1 << i for i in range(n)]
+    downset = upset[:]
     for i in range(n):
-        for j in range(n):
-            if nodes[i].dim <= nodes[j].dim and nodes[i].leq(nodes[j]):
+        for j in range(bisect_right(dims, dims[i]), n):
+            if nodes[i].leq(nodes[j]):
                 upset[i] |= 1 << j
                 downset[j] |= 1 << i
     covers_up = [0] * n

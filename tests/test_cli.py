@@ -67,6 +67,31 @@ def test_check_missing_file(capsys):
     assert main(["check", "/no/such/file.json"]) == EXIT_INPUT_ERROR
 
 
+def test_check_rejects_a_spec_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["check", str(path)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read %s: 'utf-8' codec can't decode" % path), err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["lattice", "SPEC", "--dot"],
+        ["lattice", "SPEC", "--json"],
+        ["verify", "SPEC", "--checks", "lem-kernel", "--json"],
+        ["catalog", "emit", "abelian", "2", "--out"],
+    ],
+    ids=["lattice-dot", "lattice-json", "verify-json", "catalog-out"],
+)
+def test_unwritable_output_path_is_an_input_error(spec_path, tmp_path, capsys, command):
+    out = str(tmp_path / "no-such-dir" / "out")
+    argv = [spec_path if a == "SPEC" else a for a in command] + [out]
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: cannot write %s: " % out)
+
+
 def test_analyze(spec_path, capsys):
     assert main(["analyze", spec_path]) == EXIT_OK
     out = capsys.readouterr().out
@@ -199,6 +224,19 @@ def test_catalog_emit_errors(capsys):
     # the dimension k + m of a two-parameter family is capped like a spec's dim
     assert main(["catalog", "emit", "family_nonlie_ii", "2", str(MAX_DIM - 1)]) == EXIT_INPUT_ERROR
     assert "dimension %d is above the limit %d" % (MAX_DIM + 1, MAX_DIM) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params,usage",
+    [
+        (["cyclic_solvable"], "cyclic_solvable <n>"),
+        (["heisenberg_lie", "3"], "heisenberg_lie"),
+        (["family_sqrt", "1"], "family_sqrt <k> <m>"),
+    ],
+)
+def test_catalog_emit_checks_the_parameter_count(capsys, params, usage):
+    assert main(["catalog", "emit"] + params) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: wrong number of parameters; usage: %s\n" % usage
 
 
 def test_verify_corpus_requires_work_but_is_deterministic(tmp_path):

@@ -337,6 +337,54 @@ def test_node_order_and_bounds():
     assert len(lat.nodes) == 8
 
 
+def _order_oracle(nodes):
+    """Containment by Subspace.leq on every ordered node pair, with no dimension test;
+    j covers i iff the interval [i, j] holds exactly the two nodes i != j."""
+    n = len(nodes)
+    upset, downset = [0] * n, [0] * n
+    for i in range(n):
+        for j in range(n):
+            if nodes[i].leq(nodes[j]):
+                upset[i] |= 1 << j
+                downset[j] |= 1 << i
+    covers_up = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and upset[i] & downset[j] == 1 << i | 1 << j:
+                covers_up[i] |= 1 << j
+    return upset, downset, covers_up
+
+
+def test_order_matches_all_pairs_oracle(base_lattices):
+    # the 86 base members, the ten workload algebras and one random basis copy of
+    # each, and abelian(4)/F_3 (every subspace of F_3^4 is a node)
+    cases = [lat for _, lat in base_lattices]
+    rng = random.Random(15)
+    for family, params, p in _WORKLOAD_ALGEBRAS:
+        l = catalog.FAMILIES[family][0](*params, Field.prime(p))
+        copy = l.change_of_basis(catalog.random_invertible(l.field, l.dim, rng))
+        cases += [enumerate_subalgebras(l), enumerate_subalgebras(copy)]
+    cases.append(enumerate_subalgebras(catalog.abelian(4, F3)))
+    assert len(cases) == 107 and len(cases[-1]) == 212
+    for lat in cases:
+        assert (lat.upset, lat.downset, lat.covers_up) == _order_oracle(lat.nodes)
+        for i, j in itertools.combinations(range(len(lat)), 2):
+            if lat.nodes[i].dim == lat.nodes[j].dim:
+                assert not lat.nodes[i].leq(lat.nodes[j]) and not lat.nodes[j].leq(lat.nodes[i])
+
+
+def test_order_build_tests_only_pairs_of_lower_dimension(monkeypatch):
+    # one leq per subspace in the filter, plus one per node pair with dim_i < dim_j;
+    # testing every pair with dim_i <= dim_j made 32,735 and 71 calls
+    calls = []
+    original = Subspace.leq
+    monkeypatch.setattr(Subspace, "leq", lambda u, v: calls.append(1) or original(u, v))
+    for l, expected in ((catalog.abelian(4, F3), 12633), (catalog.cyclic_solvable(3, F3), 49)):
+        calls.clear()
+        enumerate_subalgebras(l)
+        assert len(calls) == expected, l.name
+
+
 def test_join_meet_against_definitions():
     l = catalog.heisenberg_lie(F3)
     lat = enumerate_subalgebras(l)
