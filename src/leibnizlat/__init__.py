@@ -8,7 +8,6 @@ from .linalg import (
     enumerate_subspaces,
     nullspace,
     rref,
-    solve_linear,
 )
 from .algebra import (
     AlgebraError,
@@ -16,7 +15,6 @@ from .algebra import (
     StructureReport,
     UnsupportedFieldError,
     check_left_leibniz,
-    check_right_leibniz,
 )
 from .lattice import (
     SubalgebraLattice,
@@ -27,7 +25,6 @@ from .lattice import (
     is_lower_semimodular_lattice,
     is_modular,
     is_upper_semimodular,
-    is_weak_quasi_ideal,
     lattice_stats,
     maximal_subalgebras,
     wqi_elementwise,
@@ -50,7 +47,6 @@ __all__ = [
     "build_structure_report",
     "catalog",
     "check_left_leibniz",
-    "check_right_leibniz",
     "emit_spec",
     "enumerate_subalgebras",
     "enumerate_subspaces",
@@ -60,13 +56,11 @@ __all__ = [
     "is_lower_semimodular_lattice",
     "is_modular",
     "is_upper_semimodular",
-    "is_weak_quasi_ideal",
     "lattice_stats",
     "maximal_subalgebras",
     "nullspace",
     "parse_spec",
     "rref",
-    "solve_linear",
     "verify",
     "wqi_elementwise",
 ]

@@ -126,10 +126,6 @@ def left_leibniz_violation(f: Field, table) -> Optional[Tuple[int, int, int]]:
     return _leibniz_violation(f, table, left=True)
 
 
-def check_right_leibniz(f: Field, table) -> bool:
-    return right_leibniz_violation(f, table) is None
-
-
 def check_left_leibniz(f: Field, table) -> bool:
     return left_leibniz_violation(f, table) is None
 

@@ -249,13 +249,13 @@ def _base_members() -> List[LeibnizAlgebra]:
     return members
 
 
-def corpus(seed: int, variants: int = 3) -> List[LeibnizAlgebra]:
+def corpus(seed: int) -> List[LeibnizAlgebra]:
     """Deterministic verification corpus: families, basis-changed copies, dim-2 sweep."""
     rng = random.Random(seed)
     out: List[LeibnizAlgebra] = []
     for base in _base_members():
         out.append(base)
-        for v in range(variants):
+        for v in range(3):
             p = random_invertible(base.field, base.dim, rng)
             out.append(_change_of_basis(base, p, "%s@basis%d" % (base.name, v + 1)))
     out.extend(exhaustive_dim2(Field.prime(2)))

@@ -8,6 +8,7 @@ inputs and seeds, outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional, Sequence
 
@@ -48,12 +49,20 @@ def _load(path: str) -> LeibnizAlgebra:
         raise CliError("%s: %s" % (path, exc)) from None
 
 
-def _write(path: str, text: str) -> None:
+def _open_out(path: Optional[str]):
+    """Open an output file before the work, so a bad path fails at once; no path, no file."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return open(path, "w") if path else contextlib.nullcontext()
     except OSError as exc:
         raise CliError("cannot write %s: %s" % (path, exc)) from None
+
+
+def _write(fh, text: str) -> None:
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (fh.name, exc)) from None
 
 
 def _cmd_check(args) -> int:
@@ -78,24 +87,25 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_lattice(args) -> int:
     l = _load(args.file)
-    # the verify cache decides modularity from the usm and lsm verdicts it keeps
-    an = verify_mod.AlgebraAnalysis(l)
-    stats = lat_mod.lattice_stats(an.lattice)
-    for key, value in stats.items():
-        print("%s: %d" % (key, value))
-    verdicts = {
-        "modular": an.modular.holds,
-        "upper_semimodular": an.usm.holds,
-        "lower_semimodular": an.lsm.holds,
-        "all_wqi": an.wqi_all.holds,
-    }
-    for key, holds in verdicts.items():
-        print("%s: %s" % (key, str(holds).lower()))
-    print("frattini_dim: %d" % an.frattini.dim)
-    if args.dot:
-        _write(args.dot, export_dot(an.lattice))
-    if args.json:
-        _write(args.json, export_json_report({"algebra": l.name, "stats": stats, **verdicts}))
+    with _open_out(args.dot) as dot, _open_out(args.json) as js:
+        # the verify cache decides modularity from the usm and lsm verdicts it keeps
+        an = verify_mod.AlgebraAnalysis(l)
+        stats = lat_mod.lattice_stats(an.lattice)
+        for key, value in stats.items():
+            print("%s: %d" % (key, value))
+        verdicts = {
+            "modular": an.modular.holds,
+            "upper_semimodular": an.usm.holds,
+            "lower_semimodular": an.lsm.holds,
+            "all_wqi": an.wqi_all.holds,
+        }
+        for key, holds in verdicts.items():
+            print("%s: %s" % (key, str(holds).lower()))
+        print("frattini_dim: %d" % an.frattini.dim)
+        if dot:
+            _write(dot, export_dot(an.lattice))
+        if js:
+            _write(js, export_json_report({"algebra": l.name, "stats": stats, **verdicts}))
     return EXIT_OK
 
 
@@ -110,8 +120,11 @@ def _cmd_verify(args) -> int:
     unknown = [i for i in ids or () if i not in verify_mod.CHECKS]
     if unknown:
         raise CliError("unknown check ids: %s" % ", ".join(map(repr, unknown)))
-    summary = verify_mod.run_suite(algebras, ids)
-    summary["seed"] = args.seed if args.corpus else None
+    with _open_out(args.json) as js:
+        summary = verify_mod.run_suite(algebras, ids)
+        summary["seed"] = args.seed if args.corpus else None
+        if js:
+            _write(js, export_json_report(summary))
     print("%-16s %6s %6s %6s" % ("check", "pass", "fail", "n/a"))
     for cid in sorted(summary["checks"]):
         entry = summary["checks"][cid]
@@ -122,8 +135,6 @@ def _cmd_verify(args) -> int:
     for note in summary["notes"]:
         print("note: %s" % note)
     print("result: %s" % ("ok" if summary["ok"] else "FAILED"))
-    if args.json:
-        _write(args.json, export_json_report(summary))
     return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
 
 
@@ -148,12 +159,10 @@ def _cmd_catalog(args) -> int:
     try:
         l = builder(*params, f)
     except AlgebraError as exc:
-        raise CliError("cannot build %s%r: %s" % (args.family, tuple(params), exc)) from None
-    text = emit_spec(l)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+        call = "%s(%s)" % (args.family, ", ".join(map(str, params)))
+        raise CliError("cannot build %s: %s" % (call, exc)) from None
+    with _open_out(args.out) as out:
+        _write(out or sys.stdout, emit_spec(l))
     return EXIT_OK
 
 

@@ -184,12 +184,6 @@ def is_lower_semimodular_lattice(lat: SubalgebraLattice) -> Verdict:
     return _semimodular(lat, lat.join_index, lat.meet_index, lat.covers_down)
 
 
-def is_weak_quasi_ideal(l: LeibnizAlgebra, lat: SubalgebraLattice, u: Subspace) -> bool:
-    """[U,V] + [V,U] <= U + V against every node V."""
-    lat.index_of(u)
-    return all(_wqi_pair(l, u, v) for v in lat.nodes)
-
-
 def _wqi_pair(l: LeibnizAlgebra, u: Subspace, v: Subspace) -> bool:
     s = None
     for a in u.basis:

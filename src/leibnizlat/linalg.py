@@ -321,26 +321,6 @@ def nullspace(f: Field, rows: Sequence[Sequence[Scalar]]):
     return basis
 
 
-def solve_linear(f: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
-    """Solve A x = b.  Returns (solution or None, kernel basis of A)."""
-    nrows = len(a)
-    if len(b) != nrows:
-        raise LinalgError("rhs length %d != row count %d" % (len(b), nrows))
-    ncols = len(a[0]) if nrows else 0
-    augmented = [list(row) + [bi] for row, bi in zip(a, b)]
-    if nrows == 0:
-        return (), []
-    reduced, _ = rref(f, augmented)
-    piv = _pivots_of(reduced)
-    kernel = nullspace(f, a)
-    if ncols in piv:
-        return None, kernel
-    x = [f.zero()] * ncols
-    for row, p in zip(reduced, piv):
-        x[p] = row[ncols]
-    return tuple(x), kernel
-
-
 def subspace_count(p: int, n: int) -> int:
     """Number of subspaces of F_p^n: the sum over k of the Gaussian binomials [n k]_p."""
     total = 0

@@ -12,7 +12,6 @@ integers (prime case) or "num/den" strings (rational case).
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .linalg import Field
 from .algebra import MAX_DIM, AlgebraError, LeibnizAlgebra
@@ -25,7 +24,7 @@ class SpecError(ValueError):
     """Malformed algebra spec file."""
 
 
-def parse_spec(text: str, family: Optional[str] = None) -> LeibnizAlgebra:
+def parse_spec(text: str) -> LeibnizAlgebra:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -72,7 +71,7 @@ def parse_spec(text: str, family: Optional[str] = None) -> LeibnizAlgebra:
         seen[i, j, k] = pos
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
     try:
-        return LeibnizAlgebra(name=name, field=f, dim=dim, table=frozen, family=family)
+        return LeibnizAlgebra(name=name, field=f, dim=dim, table=frozen)
     except AlgebraError as exc:
         raise SpecError(str(exc)) from None
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from leibnizlat import Field, algebra, catalog, emit_spec, lattice
+from leibnizlat import Field, algebra, catalog, emit_spec, lattice, verify
 from leibnizlat.algebra import MAX_DIM
 from leibnizlat.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 
@@ -90,6 +90,31 @@ def test_unwritable_output_path_is_an_input_error(spec_path, tmp_path, capsys, c
     argv = [spec_path if a == "SPEC" else a for a in command] + [out]
     assert main(argv) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err.startswith("error: cannot write %s: " % out)
+
+
+@pytest.mark.parametrize(
+    "command,work",
+    [
+        (["lattice", "SPEC", "--dot", "OUT"], (lattice, "enumerate_subalgebras")),
+        (["lattice", "SPEC", "--json", "OUT"], (lattice, "enumerate_subalgebras")),
+        (["verify", "SPEC", "--json", "OUT"], (verify, "run_suite")),
+        (["verify", "--corpus", "--seed", "7", "--json", "OUT"], (verify, "run_suite")),
+    ],
+    ids=["lattice-dot", "lattice-json", "verify-json", "verify-corpus-json"],
+)
+def test_unwritable_output_fails_before_the_work(
+    spec_path, tmp_path, capsys, monkeypatch, command, work
+):
+    module, name = work
+    calls = []
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+    out = str(tmp_path / "no-such-dir" / "out")
+    argv = [spec_path if a == "SPEC" else out if a == "OUT" else a for a in command]
+    assert main(argv) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %s: " % out)
+    assert calls == []
 
 
 def test_analyze(spec_path, capsys):
@@ -213,6 +238,22 @@ def test_catalog_emit_stdout(capsys):
     assert main(["catalog", "emit", "heisenberg_lie", "--field", "p=2"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["name"] == "heisenberg/F2"
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        (["cyclic_solvable", "1"], "cyclic_solvable(1): solvable cyclic algebras need n >= 2"),
+        (
+            ["family_sqrt", "1", "1", "--field", "p=2"],
+            "family_sqrt(1, 1): this family requires characteristic != 2",
+        ),
+    ],
+    ids=["one-param", "two-params"],
+)
+def test_catalog_emit_build_error_names_the_call(capsys, params, message):
+    assert main(["catalog", "emit"] + params) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: cannot build %s\n" % message
 
 
 def test_catalog_emit_errors(capsys):

@@ -15,7 +15,6 @@ from leibnizlat import (
     enumerate_subspaces,
     nullspace,
     rref,
-    solve_linear,
 )
 from leibnizlat.linalg import _pivots_of, subspace_count
 
@@ -129,16 +128,6 @@ def test_nullspace_oracle():
     # kernel of [[1,2,0],[0,0,1]] over F_3 is spanned by (1, 1, 0): x + 2y = 0
     ker = nullspace(F3, [(1, 2, 0), (0, 0, 1)])
     assert Subspace.span(F3, 3, ker) == Subspace.span(F3, 3, [(1, 1, 0)])
-
-
-def test_solve_linear():
-    sol, ker = solve_linear(F5, [(1, 2), (2, 4)], (3, 2))
-    assert sol is None  # inconsistent: row 2 is twice row 1 but 2 != 2*3
-    sol, ker = solve_linear(F5, [(1, 2), (2, 4)], (3, 1))
-    assert sol is not None
-    x, y = sol
-    assert (x + 2 * y) % 5 == 3
-    assert len(ker) == 1
 
 
 def _gauss_count(p, n):
