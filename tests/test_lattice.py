@@ -461,13 +461,12 @@ def test_wqi_single_subalgebra():
     lat = enumerate_subalgebras(l)
     # the center is an ideal, hence a weak quasi-ideal: it violates against no node
     z = Subspace.span(F2, 3, [(0, 0, 1)])
-    lat.index_of(z)
+    assert z in lat.nodes
     assert not any(_wqi_violated(l, z, v) for v in lat.nodes)
     # Fx is not: [Fx, Fy] + [Fy, Fx] = Fz, not inside Fx + Fy
     fx = Subspace.span(F2, 3, [(1, 0, 0)])
     fy = Subspace.span(F2, 3, [(0, 1, 0)])
-    lat.index_of(fx)
-    lat.index_of(fy)
+    assert fx in lat.nodes and fy in lat.nodes
     assert _wqi_violated(l, fx, fy)
 
 
