@@ -26,7 +26,6 @@ from .lattice import (
     is_modular,
     is_upper_semimodular,
     lattice_stats,
-    maximal_subalgebras,
     wqi_elementwise,
 )
 from . import catalog, verify
@@ -57,7 +56,6 @@ __all__ = [
     "is_modular",
     "is_upper_semimodular",
     "lattice_stats",
-    "maximal_subalgebras",
     "nullspace",
     "parse_spec",
     "rref",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -49,16 +50,26 @@ def _load(path: str) -> LeibnizAlgebra:
         raise CliError("%s: %s" % (path, exc)) from None
 
 
+@contextlib.contextmanager
 def _open_out(path: Optional[str]):
-    """Open an output file before the work, so a bad path fails at once; no path, no file."""
+    """Open an output file before the work, so a bad path fails at once; no path, no file.
+    Append mode truncates nothing, so a failed run leaves an old file and removes a new one."""
+    created = path and not os.path.lexists(path)
     try:
-        return open(path, "w") if path else contextlib.nullcontext()
+        fh = open(path, "a") if path else contextlib.nullcontext()
     except OSError as exc:
         raise CliError("cannot write %s: %s" % (path, exc)) from None
+    with fh as out, contextlib.ExitStack() as on_failure:
+        if created:
+            on_failure.callback(os.remove, path)
+        yield out
+        on_failure.pop_all()
 
 
 def _write(fh, text: str) -> None:
     try:
+        if fh is not sys.stdout and fh.seekable() and fh.tell():
+            fh.truncate(0)  # an output file opens for append, after its earlier bytes
         fh.write(text)
         fh.flush()
     except OSError as exc:

@@ -49,10 +49,11 @@ class SubalgebraLattice:
     downset: List[int]
     covers_up: List[int]           # bit j of covers_up[i] set iff nodes[i] is covered by nodes[j]
 
-    # Derived once, as plain attributes: a cached_property writes through __dict__,
-    # which on CPython slows every later attribute read in the pair scans.
+    # Derived once, as plain attributes set here: a cached_property or any later attribute
+    # writes through __dict__, which on CPython slows every later attribute read in the scans.
     _index: Dict[tuple, int] = dc_field(init=False)
     covers_down: List[int] = dc_field(init=False)  # covers_up transposed
+    _cyclic_of_lines: Optional[List[int]] = dc_field(init=False, compare=False)
 
     def __post_init__(self):
         self._index = {s.basis: i for i, s in enumerate(self.nodes)}
@@ -60,6 +61,7 @@ class SubalgebraLattice:
         for i, up in enumerate(self.covers_up):
             for j in _bits(up):
                 self.covers_down[j] |= 1 << i
+        self._cyclic_of_lines = None
 
     def __len__(self):
         return len(self.nodes)
@@ -95,6 +97,17 @@ class SubalgebraLattice:
 
     def coatoms(self) -> List[int]:
         return list(_bits(self.covers_down[-1]))
+
+    def cyclic_of_lines(self) -> List[int]:
+        """For each monic line v, in ``monic_lines()`` order, the node index of <v>, built on
+        first use; (v,) is the RREF key of the line Fv, which is its own closure if a node."""
+        if self._cyclic_of_lines is None:
+            l, index = self.algebra, self._index
+            self._cyclic_of_lines = [
+                index[(v,)] if (v,) in index else self.index_of(l.cyclic_subalgebra(v))
+                for v in l.monic_lines()
+            ]
+        return self._cyclic_of_lines
 
 
 def enumerate_subalgebras(
@@ -198,19 +211,9 @@ def _wqi_pair(l: LeibnizAlgebra, u: Subspace, v: Subspace) -> bool:
     return True
 
 
-def _cyclic_nodes(l: LeibnizAlgebra, lat: SubalgebraLattice) -> List[int]:
-    """Node indices of the distinct cyclic subalgebras <v>, in node order."""
-    found = set()
-    for v in l.monic_lines():
-        # (v,) is the RREF key of the line Fv; a line that is a node is its own closure
-        i = lat._index.get((v,))
-        found.add(i if i is not None else lat.index_of(l.cyclic_subalgebra(v)))
-    return sorted(found)
-
-
 def all_subalgebras_wqi(l: LeibnizAlgebra, lat: SubalgebraLattice) -> Verdict:
     """Every node is a weak quasi-ideal, decided on pairs of cyclic subalgebras."""
-    cyclic = _cyclic_nodes(l, lat)
+    cyclic = sorted(set(lat.cyclic_of_lines()))
     for a, i in enumerate(cyclic):
         for j in cyclic[a + 1:]:
             if not _wqi_pair(l, lat.nodes[i], lat.nodes[j]):
@@ -218,8 +221,9 @@ def all_subalgebras_wqi(l: LeibnizAlgebra, lat: SubalgebraLattice) -> Verdict:
     return Verdict(True, None)
 
 
-def wqi_elementwise(l: LeibnizAlgebra, budget: int = 10 ** 6) -> Verdict:
-    """[x,y] in <x> + <y> over all element pairs; independent of the node scan.
+def wqi_elementwise(l: LeibnizAlgebra, lat: SubalgebraLattice, budget: int = 10 ** 6) -> Verdict:
+    """[x,y] in <x> + <y> over all element pairs; <x> is read off the lattice's line map,
+    and the pair test is independent of the node scan.
 
     Scaling changes neither side ([cx,dy] = cd[x,y] and <cx> = <x>), so one
     monic vector per line decides it. The monic vector is the smallest on its
@@ -232,45 +236,35 @@ def wqi_elementwise(l: LeibnizAlgebra, budget: int = 10 ** 6) -> Verdict:
     v lies in a subspace S iff h(v) = 0 mod p for each check functional h of S
     (``_check_functionals``); h is packed in reverse, so field n-1 of v * h is
     h(v), n products of at most n^2 (p-1)^3 (p-1) each: b bits hold n^3 (p-1)^4,
-    and no field carries. A bracket in <x> or in <y> passes with no sum, and the
-    functionals of <x> + <y> = <y> + <x> are kept per unordered pair of cyclic
-    subalgebras. The pairs run in the same order and each decides as before,
-    so the witness is unchanged.
+    and no field carries. The functionals of <x> are kept per cyclic node and those
+    of <x> + <y> = <y> + <x> per unordered pair, so a bracket in <x> or <y> needs no sum.
     """
-    if not l.field.is_prime_field:
-        raise UnsupportedFieldError("element scan needs a finite prime field")
-    if l.field.p ** (2 * l.dim) > budget:
-        raise BudgetExceeded(
-            "p^(2n) = %d exceeds budget %d" % (l.field.p ** (2 * l.dim), budget)
-        )
     p, n = l.field.p, l.dim
-    lines = list(l.monic_lines(budget))
-    generated = [l.cyclic_subalgebra(v) for v in lines]
-    ids: Dict[tuple, int] = {}
-    gid = [ids.setdefault(g.basis, len(ids)) for g in generated]
+    if p ** (2 * n) > budget:
+        raise BudgetExceeded("p^(2n) = %d exceeds budget %d" % (p ** (2 * n), budget))
     b = max(1, (n ** 3 * (p - 1) ** 4).bit_length())
     table = [[sum([c << b * k for k, c in enumerate(row)]) for row in plane] for plane in l.table]
     top, mask = b * (n - 1), (1 << b) - 1
-    scan = list(zip(lines, generated, gid, [_check_functionals(g, b) for g in generated]))
+    scan = list(zip(l.monic_lines(budget), lat.cyclic_of_lines()))
+    checks = {(a, a): _check_functionals(lat.nodes[a], b) for a in set(lat.cyclic_of_lines())}
 
     def outside(w: int, h: List[int]) -> bool:
         return any((w * hf >> top & mask) % p for hf in h)
 
-    checks: Dict[int, List[int]] = {}
-    for x, gx, a, hx in scan:
+    for x, a in scan:
         images = [sum([xi * table[i][j] for i, xi in enumerate(x) if xi]) for j in range(n)]
         if not any(images):
             continue
-        for y, gy, c, hy in scan:
+        for y, c in scan:
             w = sum([yj * im for yj, im in zip(y, images) if yj])
             if not w:
                 continue
-            key = 1 << a | 1 << c  # the unordered pair {<x>, <y>}
-            h = checks.get(key)
+            h = checks.get((a, c))
             if h is None:
-                if not (outside(w, hx) and outside(w, hy)):
+                if not (outside(w, checks[a, a]) and outside(w, checks[c, c])):
                     continue  # [x,y] lies in <x> or in <y>: no sum is needed yet
-                h = checks[key] = _check_functionals(gx.sum(gy), b)
+                s = lat.nodes[a].sum(lat.nodes[c])
+                h = checks[a, c] = checks[c, a] = _check_functionals(s, b)
             if outside(w, h):
                 return Verdict(False, (x, y))
     return Verdict(True, None)
@@ -288,11 +282,7 @@ def _check_functionals(s: Subspace, b: int) -> List[int]:
     ]
 
 
-# -- maximal subalgebras and the Frattini ideal ----------------------------
-
-
-def maximal_subalgebras(lat: SubalgebraLattice) -> List[Subspace]:
-    return [lat.nodes[i] for i in lat.coatoms()]
+# -- the Frattini ideal and J ----------------------------------------------
 
 
 def frattini_ideal(l: LeibnizAlgebra, lat: Optional[SubalgebraLattice] = None) -> Subspace:

@@ -171,10 +171,10 @@ class AlgebraAnalysis:
 
     @cached_property
     def generators(self) -> List[tuple]:
-        """The monic v with <v> = L, in line order: no maximal subalgebra (coatom) holds v."""
-        maximal = lat_mod.maximal_subalgebras(self.lattice)
-        lines = self.algebra.monic_lines(self.scan_budget)
-        return [v for v in lines if not any(m.contains(v) for m in maximal)]
+        """The monic v with <v> = L, in line order: the lines whose cyclic node is the top."""
+        lat = self.lattice  # its error comes first, then the line budget's
+        lines = list(self.algebra.monic_lines(self.scan_budget))
+        return [v for v, i in zip(lines, lat.cyclic_of_lines()) if i == len(lat) - 1]
 
     @cached_property
     def cyclic_generator(self):
@@ -350,7 +350,7 @@ def _kernel_passes_to_quotient(a):
 
 
 def _elementwise_agrees(a):
-    elementwise = lat_mod.wqi_elementwise(a.algebra, budget=a.elementwise_budget)
+    elementwise = lat_mod.wqi_elementwise(a.algebra, a.lattice, budget=a.elementwise_budget)
     if elementwise.holds != a.wqi_all.holds:
         detail = "elementwise %s vs subalgebra-level %s" % (elementwise.holds, a.wqi_all.holds)
         return detail, elementwise.witness or a.wqi_all.witness

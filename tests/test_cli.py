@@ -117,6 +117,54 @@ def test_unwritable_output_fails_before_the_work(
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["lattice", "SPEC", "--dot", "OUT"],
+        ["lattice", "SPEC", "--json", "OUT"],
+        ["lattice", "SPEC", "--dot", "OUT", "--json", "OUT2"],
+        ["verify", "SPEC", "--json", "OUT"],
+    ],
+    ids=["lattice-dot", "lattice-json", "lattice-both", "verify-json"],
+)
+def test_a_failed_run_keeps_an_old_output_and_leaves_no_new_one(tmp_path, capsys, command):
+    # a spec over Q has no subalgebra lattice, so the run fails after opening its outputs
+    spec = tmp_path / "heisenberg-q.json"
+    spec.write_text(emit_spec(catalog.heisenberg_lie(Field.rational())))
+    for name in ("old", "fresh"):
+        out, out2 = tmp_path / (name + ".out"), tmp_path / (name + ".out2")
+        if name == "old":
+            out.write_text("old bytes\n")
+            out2.write_text("old bytes 2\n")
+        subs = {"SPEC": str(spec), "OUT": str(out), "OUT2": str(out2)}
+        assert main([subs.get(a, a) for a in command]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: subalgebra enumeration needs a finite prime field\n"
+    assert (tmp_path / "old.out").read_text() == "old bytes\n"
+    assert (tmp_path / "old.out2").read_text() == "old bytes 2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "heisenberg-q.json", "old.out", "old.out2"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["lattice", "SPEC", "--dot", "OUT"],
+        ["lattice", "SPEC", "--json", "OUT"],
+        ["verify", "SPEC", "--checks", "lem-kernel", "--json", "OUT"],
+    ],
+    ids=["lattice-dot", "lattice-json", "verify-json"],
+)
+def test_a_run_replaces_a_longer_old_output(spec_path, tmp_path, capsys, command):
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    old.write_text("x" * 10 ** 5)
+    for out in (fresh, old):
+        argv = [spec_path if a == "SPEC" else str(out) if a == "OUT" else a for a in command]
+        assert main(argv) == EXIT_OK
+    assert old.read_text() == fresh.read_text() != ""
+
+
 def test_analyze(spec_path, capsys):
     assert main(["analyze", spec_path]) == EXIT_OK
     out = capsys.readouterr().out

@@ -19,7 +19,6 @@ from leibnizlat import (
     is_modular,
     is_upper_semimodular,
     lattice_stats,
-    maximal_subalgebras,
     wqi_elementwise,
 )
 from leibnizlat import lattice as lattice_module
@@ -203,10 +202,29 @@ def test_all_wqi_needs_cyclic_subalgebras_beyond_lines():
     lat = enumerate_subalgebras(l)
     verdict = all_subalgebras_wqi(l, lat)
     assert not verdict.holds and not _wqi_node_pair_oracle(l, lat)
-    assert not wqi_elementwise(l).holds
+    assert not wqi_elementwise(l, lat).holds
     u, v = verdict.witness
     assert _wqi_violated(l, u, v)
     assert Subspace.span(F2, n, [(1, 0, 0, 0), (0, 1, 0, 0)]) in (u, v)
+
+
+def test_line_map_matches_the_general_closure(base_lattices):
+    # <v> off the lattice's line map equals subalgebra_closure([v]), a route independent of
+    # the map's node lookup and powers of v; lem-qi's two sides share the map, so this check
+    # stands in for their independence
+    cases = list(base_lattices)
+    for family, params, p in _WORKLOAD_ALGEBRAS:
+        l = catalog.FAMILIES[family][0](*params, Field.prime(p))
+        cases.append((l, enumerate_subalgebras(l)))
+    lines = 0
+    for l, lat in cases:
+        monic = list(l.monic_lines())
+        cyclic = lat.cyclic_of_lines()
+        assert len(cyclic) == len(monic), l.name
+        for v, i in zip(monic, cyclic):
+            assert lat.nodes[i] == l.subalgebra_closure([v]), (l.name, v)
+        lines += len(monic)
+    assert lines == 2327
 
 
 def _partition_lattice(m):
@@ -478,7 +496,7 @@ def test_wqi_elementwise_matches_lattice_verdict():
         catalog.family_sqrt(1, 1, F3),
     ):
         lat = enumerate_subalgebras(l)
-        assert wqi_elementwise(l).holds == all_subalgebras_wqi(l, lat).holds, l.name
+        assert wqi_elementwise(l, lat).holds == all_subalgebras_wqi(l, lat).holds, l.name
 
 
 def test_wqi_elementwise_matches_all_vector_oracle():
@@ -490,7 +508,7 @@ def test_wqi_elementwise_matches_all_vector_oracle():
     members = in_budget + [l for l in corpus if "@basis" not in l.name and l not in in_budget]
     failing = set()
     for l in members:
-        verdict = wqi_elementwise(l)
+        verdict = wqi_elementwise(l, enumerate_subalgebras(l))
         assert tuple(verdict) == _wqi_elementwise_oracle(l), l.name
         if not verdict.holds:
             failing.add(l.name)
@@ -518,7 +536,7 @@ def test_wqi_elementwise_matches_oracle_in_small_dims_and_wide_fields():
         algebras.append(make(2, f13).change_of_basis(catalog.random_invertible(f13, 2, rng)))
     failing = set()
     for l in algebras:
-        verdict = wqi_elementwise(l, budget=10 ** 6)
+        verdict = wqi_elementwise(l, enumerate_subalgebras(l), budget=10 ** 6)
         assert tuple(verdict) == _wqi_elementwise_oracle(l), l.name
         if not verdict.holds:
             failing.add(l.name)
@@ -526,9 +544,11 @@ def test_wqi_elementwise_matches_oracle_in_small_dims_and_wide_fields():
 
 
 def test_wqi_elementwise_pair_loop_calls_no_bracket_or_contains(monkeypatch):
-    # the pairs read packed images and check functionals: every bracket and contains
-    # call left is one the per-line cyclic subalgebras make
+    # the pairs read packed images and check functionals, and <x> comes from the
+    # lattice's line map, built here before the spies: no bracket or contains call is left
     l = catalog.cyclic_solvable(3, F3).change_of_basis(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    lat = enumerate_subalgebras(l)
+    lat.cyclic_of_lines()
     calls = {}
     for cls, name in ((LeibnizAlgebra, "bracket"), (Subspace, "contains")):
         def spy(*args, _name=name, _original=getattr(cls, name)):
@@ -536,12 +556,8 @@ def test_wqi_elementwise_pair_loop_calls_no_bracket_or_contains(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(cls, name, spy)
-    for v in l.monic_lines():
-        l.cyclic_subalgebra(v)
-    per_line = dict(calls)
-    calls.clear()
-    assert wqi_elementwise(l) == (True, None)
-    assert calls == per_line
+    assert wqi_elementwise(l, lat) == (True, None)
+    assert calls == {}
 
 
 @pytest.mark.parametrize("field", [F3, F5, F7])
@@ -553,7 +569,7 @@ def test_wqi_elementwise_witness_on_failing_algebras(field):
     for base in list(algebras):
         algebras.append(base.change_of_basis(catalog.random_invertible(field, base.dim, rng)))
     for l in algebras:
-        verdict = wqi_elementwise(l, budget=10 ** 6)
+        verdict = wqi_elementwise(l, enumerate_subalgebras(l), budget=10 ** 6)
         assert tuple(verdict) == _wqi_elementwise_oracle(l), l.name
         x, y = verdict.witness
         w = l.bracket(x, y)
@@ -574,8 +590,7 @@ def test_lattice_scans_make_no_per_scalar_field_calls(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(Field, name, spy)
-    enumerate_subalgebras(l)
-    wqi_elementwise(l)
+    wqi_elementwise(l, enumerate_subalgebras(l))
     assert analysis.cyclic_canonical_form() == "solvable"
     assert right_leibniz_violation(F3, dense.table) is None
     assert left_leibniz_violation(F3, dense.table) is not None
@@ -585,7 +600,8 @@ def test_lattice_scans_make_no_per_scalar_field_calls(monkeypatch):
 
 def test_maximal_subalgebras_cyclic_solvable():
     l = catalog.cyclic_solvable(3, F3)
-    maxes = maximal_subalgebras(enumerate_subalgebras(l))
+    lat = enumerate_subalgebras(l)
+    maxes = [lat.nodes[i] for i in lat.coatoms()]
     assert len(maxes) == 2
     assert Subspace.span(F3, 3, [(0, 1, 0), (0, 0, 1)]) in maxes  # L^2
     assert Subspace.span(F3, 3, [(1, 0, 2), (0, 1, 2)]) in maxes  # <a - a^3>
@@ -617,7 +633,7 @@ def test_frattini_bruteforce_oracle():
     # independent computation: ideals contained in every maximal subalgebra
     for l in (catalog.cyclic_solvable(3, F3), catalog.heisenberg_lie(F2)):
         lat = enumerate_subalgebras(l)
-        maxes = maximal_subalgebras(lat)
+        maxes = [lat.nodes[i] for i in lat.coatoms()]
         inter = l.full_subspace()
         for m in maxes:
             inter = inter.intersection(m)

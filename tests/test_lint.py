@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 import leibnizlat
+from leibnizlat import Field, catalog, export_dot, lattice, verify
 
 SRC = pathlib.Path(leibnizlat.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -164,9 +165,9 @@ _LATTICE_READERS = {
 
 
 def test_the_checks_read_subalgebras_off_the_lattice():
-    """J is the join of the atoms and a generator lies in no coatom, so the check
-    layer closes nothing; lattice.py closes only lines, for the all-WQI and element
-    scans."""
+    """J is the join of the atoms and a generator's cyclic node is the top, so the
+    check layer closes nothing; lattice.py closes each line once, in the lattice's
+    line map, which the all-WQI and element scans read."""
     calls = [
         "%s:%d %s" % (name, node.lineno, node.func.attr)
         for name, banned in _LATTICE_READERS.items()
@@ -176,3 +177,46 @@ def test_the_checks_read_subalgebras_off_the_lattice():
         and node.func.attr in banned
     ]
     assert calls == [], "subalgebras built beside the lattice: %s" % ", ".join(calls)
+
+
+def test_cyclic_subalgebra_has_one_caller():
+    """<v> is closed at one place, the lattice's line map; every other reader takes it
+    from there."""
+    calls = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "cyclic_subalgebra"
+    ]
+    assert len(calls) == 1, "cyclic_subalgebra calls: %s" % ", ".join(calls)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: catalog.cyclic_solvable(3, Field.prime(3)),
+        lambda: catalog.cyclic_nilpotent(3, Field.prime(2)),
+        lambda: catalog.heisenberg_lie(Field.prime(3)),
+    ],
+    ids=["cyclic_solvable", "cyclic_nilpotent", "heisenberg"],
+)
+def test_no_attribute_is_added_to_a_built_lattice(make):
+    """The lattice's derived attributes are all set at construction (see the class
+    comment): the scans, the export and the checks add none."""
+    l = make()
+    analysis = verify.AlgebraAnalysis(l)
+    lat = analysis.lattice
+    keys = set(vars(lat))
+    lattice.lattice_stats(lat)
+    lattice.is_modular(lat)
+    lattice.is_upper_semimodular(lat)
+    lattice.is_lower_semimodular_lattice(lat)
+    lattice.all_subalgebras_wqi(l, lat)
+    lattice.wqi_elementwise(l, lat)
+    lattice.frattini_ideal(l, lat)
+    export_dot(lat)
+    reports = [verify.run_check(cid, l, analysis) for cid in verify.CHECKS]
+    assert len(reports) == 17 and not any(r.detail.startswith("budget") for r in reports)
+    assert set(vars(lat)) == keys

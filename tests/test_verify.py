@@ -340,7 +340,7 @@ def test_lem_cyclic_closes_no_line(base_members, monkeypatch):
     cases = []
     for l in base_members:
         an = verify.AlgebraAnalysis(l)
-        an.wqi_all  # the all-WQI scan closes lines of its own
+        an.wqi_all  # the all-WQI scan builds the line map, where lines are closed
         generators = (v for v in l.monic_lines() if l.subalgebra_closure([v]).dim == l.dim)
         generator = next(generators, None)
         cases.append((an, generator, _canonical_form_oracle(l)))
@@ -355,7 +355,7 @@ def test_lem_cyclic_closes_no_line(base_members, monkeypatch):
         verify.run_check("lem-cyclic", an.algebra, an)
         assert an.cyclic_generator == generator, an.algebra.name
         assert an.cyclic_canonical_form() == form, an.algebra.name
-        assert not closed, an.algebra.name  # the generators are read off the coatoms
+        assert not closed, an.algebra.name  # the generators are read off the line map
         forms[form] += 1
     assert forms["nilpotent"] and forms["solvable"] and forms[None], forms
 
