@@ -44,6 +44,50 @@ def _normalize_table(f: Field, table) -> tuple:
     return tuple(tuple(tuple(f.normalize_row(row)) for row in plane) for plane in table)
 
 
+def _pack_table(p: int, table) -> tuple:
+    """(b, columns) over F_p. A vector is one int of b-bit fields, field k holding coordinate
+    k; columns[j] holds [e_i, e_j] in its super-field i, of b n bits. b is the bit length of
+    n^3 (p-1)^4, so no field carries: for reduced x, y, v the right images [e_i, y] have
+    fields up to n (p-1)^2, the products [x, y] = sum_i x_i [e_i, y] and the powers
+    v^(k+1) = sum_i (v^k)_i [e_i, v] up to n^2 (p-1)^3, check functionals
+    (wqi_elementwise) up to n^3 (p-1)^4."""
+    n, b = len(table), max(1, (len(table) ** 3 * (p - 1) ** 4).bit_length())
+    return b, [sum([c << b * (k + n * i) for i, row in enumerate(col) for k, c in enumerate(row)])
+               for col in zip(*table)]
+
+
+def _right_images(packed: tuple, y) -> list:
+    """[e_i, y] for each i, packed: the super-fields of sum_j y_j columns[j]."""
+    (b, columns), n = packed, len(y)
+    w, mask = sum([c * col for c, col in zip(y, columns) if c]), (1 << b * n) - 1
+    return [w >> b * n * i & mask for i in range(n)]
+
+
+def _unpack(w: int, b: int, n: int, p: int) -> list:
+    return [(w >> s & (1 << b) - 1) % p for s in range(0, b * n, b)]
+
+
+def _insert(f: Field, echelon: dict, v) -> bool:
+    """Add the reduced row v to a fully reduced echelon {pivot: row}; False if v is in its span."""
+    for piv, row in echelon.items():
+        v = f.sub_scaled_row(v, v[piv], row) if v[piv] else v
+    for lead, c in enumerate(v):
+        if c:
+            v = f.scale_row(f.inv(c), v)
+            for piv, row in echelon.items():
+                echelon[piv] = f.sub_scaled_row(row, row[lead], v) if row[lead] else row
+            echelon[lead] = v
+            return True
+    return False
+
+
+def _span(f: Field, n: int, rows, echelon: dict) -> Subspace:
+    """Insert the rows; the echelon's rows sorted by pivot are then the span's (unique) RREF."""
+    for v in rows:
+        _insert(f, echelon, v)
+    return Subspace(f, n, tuple(tuple(echelon[piv]) for piv in sorted(echelon)))
+
+
 def _vector_bracket(f: Field, table, x: Vector, y: Vector) -> Vector:
     """Raw products summed per coordinate, reduced once per vector. The f.zero()
     seed keeps each untouched coordinate over Q one shared Fraction, not a new one."""
@@ -140,6 +184,7 @@ class LeibnizAlgebra:
     dim: int
     table: tuple
     family: Optional[str] = dc_field(default=None, compare=False)
+    _packed: Optional[tuple] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f, n = self.field, self.dim
@@ -153,6 +198,7 @@ class LeibnizAlgebra:
             raise AlgebraError(
                 "tensor violates the right Leibniz identity at basis triple %r" % (bad,)
             )
+        object.__setattr__(self, "_packed", _pack_table(f.p, self.table) if f.p else None)
 
     # -- basic products ----------------------------------------------------
 
@@ -188,8 +234,12 @@ class LeibnizAlgebra:
     def product_space(self, u: Subspace, v: Subspace) -> Subspace:
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise AlgebraError("ambient mismatch")
-        products = [self.bracket(a, b) for a in u.basis for b in v.basis]
-        return Subspace.span(self.field, self.dim, products)
+        f, n, packed = self.field, self.dim, self._packed
+        if packed is None:
+            return Subspace.span(f, n, [self.bracket(a, b) for a in u.basis for b in v.basis])
+        images = [_right_images(packed, y) for y in v.basis]
+        products = (sum([c * r for c, r in zip(a, im) if c]) for a in u.basis for im in images)
+        return _span(f, n, (_unpack(w, packed[0], n, f.p) for w in products if w), {})
 
     def subalgebra_closure(self, vectors: Sequence[Vector]) -> Subspace:
         u = Subspace.span(self.field, self.dim, list(vectors))
@@ -203,13 +253,21 @@ class LeibnizAlgebra:
     def cyclic_subalgebra(self, v: Vector) -> Subspace:
         """<v> = span{v, v^2, ...} with v^(k+1) = [v^k, v], up to the first power already
         in the span. The squares span an ideal I with [L, I] = 0 (y = z in the right
-        identity), so [v^i, v^j] = 0 for j >= 2 and the span of the powers is closed."""
-        u, power = Subspace.span(self.field, self.dim, [v]), v
-        while True:
-            power = self.bracket(power, v)
-            if u.contains(power):
-                return u
-            u = Subspace.span(self.field, self.dim, u.basis + (power,))
+        identity), so [v^i, v^j] = 0 for j >= 2 and the span of the powers is closed.
+        Over F_p each power is one combination of the packed right images [e_i, v]."""
+        f, n, packed = self.field, self.dim, self._packed
+        if packed is None:
+            u, power = Subspace.span(f, n, [v]), v
+            while not u.contains(power := self.bracket(power, v)):
+                u = Subspace.span(f, n, u.basis + (power,))
+            return u
+        if len(v) != n:
+            raise AlgebraError("vector length mismatch")
+        power, echelon = f.normalize_row(v), {}
+        right = _right_images(packed, power)
+        while _insert(f, echelon, power):
+            power = _unpack(sum([c * r for c, r in zip(power, right) if c]), packed[0], n, f.p)
+        return _span(f, n, (), echelon)
 
     # -- series and solvability -------------------------------------------
 

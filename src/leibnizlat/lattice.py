@@ -23,7 +23,7 @@ from functools import reduce
 from typing import Dict, List, Optional
 
 from .linalg import BudgetExceeded, Subspace, enumerate_subspaces
-from .algebra import LeibnizAlgebra, StructureReport, UnsupportedFieldError
+from .algebra import LeibnizAlgebra, StructureReport, UnsupportedFieldError, _right_images, _span
 
 DEFAULT_NODE_BUDGET = 5000
 
@@ -152,17 +152,18 @@ def is_modular(lat: SubalgebraLattice) -> Verdict:
 
 def modular_verdict(lat: SubalgebraLattice, semimodular: bool) -> Verdict:
     """Modular iff upper and lower semimodular; on a failure, the witness is the first
-    node triple (U, V, W) with U <= W and <U,V> ^ W != <U, V ^ W>."""
+    node triple (U, V, W) with U <= W and <U,V> ^ W != <U, V ^ W>. The scan skips triples
+    with V comparable to U, or V <= W: both sides are then U, V ^ W or <U,V>."""
     if semimodular:
         return Verdict(True, None)
     n = len(lat.nodes)
-    upset, downset = lat.upset, lat.downset
+    upset, downset, everything = lat.upset, lat.downset, (1 << n) - 1
     for u in range(n):
-        for v in range(n):
+        for v in _bits(everything & ~(upset[u] | downset[u])):
             common = upset[u] & upset[v]
             juv = (common & -common).bit_length() - 1
             down_juv = downset[juv]
-            for w in _bits(upset[u]):
+            for w in _bits(upset[u] & ~upset[v]):
                 left = (down_juv & downset[w]).bit_length() - 1
                 m = (downset[v] & downset[w]).bit_length() - 1
                 cu = upset[u] & upset[m]
@@ -230,21 +231,20 @@ def wqi_elementwise(l: LeibnizAlgebra, lat: SubalgebraLattice, budget: int = 10 
     line, so the first failing monic pair is the first failing pair of the
     lexicographic scan over all vectors. The budget still bounds p^(2n).
 
-    Rows are ints of b-bit fields, reduced mod p only where read. The images
-    [x,e_j] = sum_i x_i [e_i,e_j] are packed once per line x, so [x,y] =
-    sum_j y_j [x,e_j] is at most n multiply-adds, with fields up to n^2 (p-1)^3.
-    v lies in a subspace S iff h(v) = 0 mod p for each check functional h of S
-    (``_check_functionals``); h is packed in reverse, so field n-1 of v * h is
-    h(v), n products of at most n^2 (p-1)^3 (p-1) each: b bits hold n^3 (p-1)^4,
-    and no field carries. The functionals of <x> are kept per cyclic node and those
-    of <x> + <y> = <y> + <x> per unordered pair, so a bracket in <x> or <y> needs no sum.
+    The images [x,e_j] = sum_i x_i [e_i,e_j] are packed once per line x, from the columns
+    of the algebra's packed table (``algebra._pack_table``), so [x,y] = sum_j y_j [x,e_j]
+    is at most n multiply-adds. v lies in a subspace S iff h(v) = 0 mod p for each check
+    functional h of S (``_check_functionals``), packed in reverse so that field n-1 of
+    v * h is h(v). The functionals of <x> are kept per cyclic node and those of <x> + <y>
+    per unordered pair, so a bracket in <x> or <y> needs no sum, and a sum inserts the
+    rows of <y> into the echelon of <x>.
     """
-    p, n = l.field.p, l.dim
+    f, p, n = l.field, l.field.p, l.dim
     if p ** (2 * n) > budget:
         raise BudgetExceeded("p^(2n) = %d exceeds budget %d" % (p ** (2 * n), budget))
-    b = max(1, (n ** 3 * (p - 1) ** 4).bit_length())
-    table = [[sum([c << b * k for k, c in enumerate(row)]) for row in plane] for plane in l.table]
+    b = l._packed[0]
     top, mask = b * (n - 1), (1 << b) - 1
+    columns = [_right_images(l._packed, e) for e in l.full_subspace().basis]  # [e_i, e_j]
     scan = list(zip(l.monic_lines(budget), lat.cyclic_of_lines()))
     checks = {(a, a): _check_functionals(lat.nodes[a], b) for a in set(lat.cyclic_of_lines())}
 
@@ -252,7 +252,7 @@ def wqi_elementwise(l: LeibnizAlgebra, lat: SubalgebraLattice, budget: int = 10 
         return any((w * hf >> top & mask) % p for hf in h)
 
     for x, a in scan:
-        images = [sum([xi * table[i][j] for i, xi in enumerate(x) if xi]) for j in range(n)]
+        images = [sum([xi * r for xi, r in zip(x, col) if xi]) for col in columns]
         if not any(images):
             continue
         for y, c in scan:
@@ -263,7 +263,8 @@ def wqi_elementwise(l: LeibnizAlgebra, lat: SubalgebraLattice, budget: int = 10 
             if h is None:
                 if not (outside(w, checks[a, a]) and outside(w, checks[c, c])):
                     continue  # [x,y] lies in <x> or in <y>: no sum is needed yet
-                s = lat.nodes[a].sum(lat.nodes[c])
+                sa, sc = lat.nodes[a], lat.nodes[c]
+                s = _span(f, n, sc.basis, dict(zip(sa.pivots, sa.basis)))
                 h = checks[a, c] = checks[c, a] = _check_functionals(s, b)
             if outside(w, h):
                 return Verdict(False, (x, y))

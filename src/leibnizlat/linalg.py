@@ -235,6 +235,8 @@ class Subspace:
         return _pivots_of(self.basis)
 
     def _check_ambient(self, other: "Subspace"):
+        if self.field is other.field and self.ambient_dim == other.ambient_dim:
+            return
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise LinalgError("ambient space mismatch")
 

@@ -428,14 +428,48 @@ def test_packed_scan_holds_on_a_dense_f31_algebra():
     assert right is None and left is not None
 
 
+def _cyclic_power_oracle(l, v):
+    """<v> by the power loop with one Subspace.span per power: the path over Q, and the
+    oracle the F_p closure on the packed table is tested against."""
+    u, power = Subspace.span(l.field, l.dim, [v]), v
+    while True:
+        power = l.bracket(power, v)
+        if u.contains(power):
+            return u
+        u = Subspace.span(l.field, l.dim, u.basis + (power,))
+
+
+
 def test_cyclic_subalgebra_is_the_closure_of_one_vector():
+    # on all 4,379 monic lines of the seed-7 corpus the F_p closure also equals the power loop
     lines = 0
     for l in catalog.corpus(7):
         for v in l.monic_lines():
-            assert l.cyclic_subalgebra(v) == l.subalgebra_closure([v]), (l.name, v)
+            u = l.cyclic_subalgebra(v)
+            assert u == l.subalgebra_closure([v]) == _cyclic_power_oracle(l, v), (l.name, v)
             lines += 1
     assert lines == 4379
     q = Field.rational()
     for l in (catalog.cyclic_solvable(4, q), catalog.cyclic_nilpotent(4, q)):
         for v in ((0, 0, 0, 0), (1, 0, 0, 0), (Fraction(1, 2), -2, 3, 0), (0, 1, 1, 1)):
             assert l.cyclic_subalgebra(v) == l.subalgebra_closure([v]), (l.name, v)
+
+
+def test_cyclic_subalgebra_matches_the_power_loop():
+    # every vector of a dense F_31 basis change of cyclic_solvable(3), vectors with entries
+    # outside [0, p), a vector of the wrong length, and the algebra L = 0
+    rng = random.Random(31)
+    l = catalog.cyclic_solvable(3, F31).change_of_basis(catalog.random_invertible(F31, 3, rng))
+    dims = collections.Counter()
+    for v in l.all_vectors():
+        u = l.cyclic_subalgebra(v)
+        assert u == _cyclic_power_oracle(l, v), v
+        dims[u.dim] += 1
+    assert dims == {0: 1, 1: 960, 2: 930, 3: 27900}  # the nonzero vectors of L^2 square to 0
+    l = catalog.cyclic_nilpotent(4, F5)
+    assert l.cyclic_subalgebra((6, -1, 7, 5)) == _cyclic_power_oracle(l, (1, 4, 2, 0))
+    with pytest.raises(AlgebraError):
+        l.cyclic_subalgebra((1, 0, 0))
+    zero = LeibnizAlgebra("zero/F3", F3, 0, ())  # no fields to read
+    assert zero.cyclic_subalgebra(()) == zero.product_space(zero.full_subspace(), zero.full_subspace())
+    assert zero.cyclic_subalgebra(()) == Subspace.zero(F3, 0)

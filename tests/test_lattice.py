@@ -21,7 +21,7 @@ from leibnizlat import (
     lattice_stats,
     wqi_elementwise,
 )
-from leibnizlat import lattice as lattice_module
+from leibnizlat import lattice as lattice_module, linalg
 from leibnizlat.algebra import left_leibniz_violation, right_leibniz_violation
 from leibnizlat.verify import AlgebraAnalysis
 
@@ -61,6 +61,26 @@ def _modular_triple_oracle(lat):
                 if lat.meet_index(join, w) != lat.join_index(u, lat.meet_index(v, w)):
                     return (lat.nodes[u], lat.nodes[v], lat.nodes[w])
     return None
+
+
+def _modular_witness_oracle(lat):
+    """The witness scan over every node triple (u, v, w) with u <= w: the loop that
+    ``modular_verdict`` ran before it skipped the triples the modular law cannot fail."""
+    n = len(lat.nodes)
+    upset, downset = lat.upset, lat.downset
+    for u in range(n):
+        for v in range(n):
+            common = upset[u] & upset[v]
+            juv = (common & -common).bit_length() - 1
+            down_juv = downset[juv]
+            for w in lattice_module._bits(upset[u]):
+                left = (down_juv & downset[w]).bit_length() - 1
+                m = (downset[v] & downset[w]).bit_length() - 1
+                cu = upset[u] & upset[m]
+                right = (cu & -cu).bit_length() - 1
+                if left != right:
+                    return (False, (lat.nodes[u], lat.nodes[v], lat.nodes[w]))
+    return (False, None)
 
 
 def _semimodular_pair_oracle(lat, upper):
@@ -316,6 +336,80 @@ def test_condition_verdicts_match_pair_and_triple_oracles(base_lattices):
     assert failing == [5, 2, 7]  # USM, LSM, modular; LSM fails on Pi_4 and Pi_5 only
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "fd43d906abe123dd6b0bef238e4ce1f793c91793950184def2c734178c3a8895"
+
+
+def test_pruned_witness_scan_matches_the_full_triple_loop():
+    # modular_verdict with semimodular=False runs the witness scan even on a modular lattice,
+    # so the skipped triples are tested on all 305 seed-7 members, heisenberg over F_2 to
+    # F_13 in its catalog basis, and 20 random basis changes of heisenberg/F_5
+    cases = list(catalog.corpus(7))
+    assert len(cases) == 305
+    heisenberg = [catalog.heisenberg_lie(Field.prime(p)) for p in (2, 3, 5, 7, 11, 13)]
+    rng = random.Random(24)
+    cases += heisenberg
+    cases += [heisenberg[2].change_of_basis(catalog.random_invertible(F5, 3, rng)) for _ in range(20)]
+    witnesses = []
+    for l in cases:
+        lat = enumerate_subalgebras(l)
+        verdict = lattice_module.modular_verdict(lat, False)
+        assert tuple(verdict) == _modular_witness_oracle(lat), l.name
+        if verdict.witness is not None:
+            witnesses.append(tuple(map(lat.index_of, verdict.witness)))
+    assert len(witnesses) == 12 + 6 + 20  # the corpus's heisenberg copies, and the added ones
+    assert witnesses[16:18] == [(2, 13, 134), (2, 15, 184)]  # heisenberg/F11, /F13
+
+
+def _product_space_oracle(l, u, v):
+    """[U, V] as the span of the basis brackets by Subspace.span."""
+    return Subspace.span(l.field, l.dim, [l.bracket(a, b) for a in u.basis for b in v.basis])
+
+
+def test_product_space_matches_the_span_of_brackets(base_lattices):
+    # [S, S] on every subspace S of the 86 base members and the ten workload algebras,
+    # which is the subalgebra filter's call; [U, V] on pairs of subspaces of dense random
+    # basis changes over F_2 to F_31, whose fields are the widest the packed table holds
+    algebras = [l for l, _ in base_lattices]
+    algebras += [catalog.FAMILIES[f][0](*ps, Field.prime(p)) for f, ps, p in _WORKLOAD_ALGEBRAS]
+    subspaces = 0
+    for l in algebras:
+        for s in enumerate_subspaces(l.field, l.dim):
+            assert l.product_space(s, s) == _product_space_oracle(l, s, s), (l.name, s)
+            subspaces += 1
+    assert subspaces == 10650
+    rng = random.Random(31)
+    pairs = 0
+    for p in (2, 3, 5, 7, 31):
+        f = Field.prime(p)
+        for base in (catalog.cyclic_solvable(5, f), catalog.heisenberg_lie(f), _a2_ac(f)):
+            l = base.change_of_basis(catalog.random_invertible(f, base.dim, rng))
+            spaces = [l.full_subspace(), l.zero_subspace()] + [
+                Subspace.span(f, l.dim, [[rng.randrange(p) for _ in range(l.dim)] for _ in range(k)])
+                for k in (1, 1, 2, 2, 3, 3, 4)
+            ]
+            for u, v in itertools.product(spaces, repeat=2):
+                assert l.product_space(u, v) == _product_space_oracle(l, u, v), (l.name, u, v)
+                pairs += 1
+    assert pairs == 15 * 81
+
+
+def test_filter_and_line_map_call_no_rref_or_bracket(monkeypatch):
+    # over F_p the subalgebra filter and the closures of the lines that are not nodes build
+    # their spans from the packed table: no linalg.rref and no LeibnizAlgebra.bracket call
+    cases = [catalog.FAMILIES[f][0](*ps, Field.prime(p)) for f, ps, p in _WORKLOAD_ALGEBRAS[5:8]]
+    cases.append(cases[0].change_of_basis(((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))))
+    calls = {}
+    for owner, name in ((linalg, "rref"), (LeibnizAlgebra, "bracket")):
+        def spy(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    closed = 0
+    for l in cases:
+        lat = enumerate_subalgebras(l)
+        closed += sum(lat.nodes[i].dim > 1 for i in lat.cyclic_of_lines())
+    assert closed > 0 and calls == {}
+    assert Subspace.span(F2, 1, [(1,)]).dim == 1 and calls == {"rref": 1}  # the spies are live
 
 
 def _closed_subspaces(l):
@@ -578,8 +672,9 @@ def test_wqi_elementwise_witness_on_failing_algebras(field):
 
 def test_lattice_scans_make_no_per_scalar_field_calls(monkeypatch):
     # Rows are reduced by Field's row methods; a per-scalar loop creeping back
-    # into the subspace filter, the order build, the element scan,
-    # lem-cyclic's scaled candidates or the F_p identity scans shows here.
+    # into the subspace filter, the order build, the element scan, the F_p
+    # product_space and cyclic_subalgebra, lem-cyclic's scaled candidates or
+    # the F_p identity scans shows here.
     l = catalog.cyclic_solvable(3, F3)
     dense = l.change_of_basis(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     analysis = AlgebraAnalysis(l)
@@ -591,6 +686,10 @@ def test_lattice_scans_make_no_per_scalar_field_calls(monkeypatch):
 
         monkeypatch.setattr(Field, name, spy)
     wqi_elementwise(l, enumerate_subalgebras(l))
+    for s in enumerate_subspaces(F3, 3):
+        dense.product_space(s, dense.full_subspace())
+    for v in dense.monic_lines():
+        dense.cyclic_subalgebra(v)
     assert analysis.cyclic_canonical_form() == "solvable"
     assert right_leibniz_violation(F3, dense.table) is None
     assert left_leibniz_violation(F3, dense.table) is not None

@@ -220,3 +220,18 @@ def test_no_attribute_is_added_to_a_built_lattice(make):
     reports = [verify.run_check(cid, l, analysis) for cid in verify.CHECKS]
     assert len(reports) == 17 and not any(r.detail.startswith("budget") for r in reports)
     assert set(vars(lat)) == keys
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_no_attribute_is_added_to_an_algebra(p):
+    """The packed structure table is set at construction, so the F_p kernels that read it
+    (product_space, cyclic_subalgebra and the element scan) add no attribute."""
+    f = Field.prime(p)
+    l = catalog.cyclic_solvable(3, f).change_of_basis(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    keys = set(vars(l))
+    assert "_packed" in keys
+    full = l.full_subspace()
+    l.product_space(full, full)
+    l.cyclic_subalgebra((1, 0, 0))
+    lattice.wqi_elementwise(l, lattice.enumerate_subalgebras(l))
+    assert set(vars(l)) == keys
