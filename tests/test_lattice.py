@@ -347,7 +347,8 @@ def test_pruned_witness_scan_matches_the_full_triple_loop():
     heisenberg = [catalog.heisenberg_lie(Field.prime(p)) for p in (2, 3, 5, 7, 11, 13)]
     rng = random.Random(24)
     cases += heisenberg
-    cases += [heisenberg[2].change_of_basis(catalog.random_invertible(F5, 3, rng)) for _ in range(20)]
+    cases += [heisenberg[2].change_of_basis(catalog.random_invertible(F5, 3, rng))
+              for _ in range(20)]
     witnesses = []
     for l in cases:
         lat = enumerate_subalgebras(l)
@@ -382,10 +383,9 @@ def test_product_space_matches_the_span_of_brackets(base_lattices):
         f = Field.prime(p)
         for base in (catalog.cyclic_solvable(5, f), catalog.heisenberg_lie(f), _a2_ac(f)):
             l = base.change_of_basis(catalog.random_invertible(f, base.dim, rng))
-            spaces = [l.full_subspace(), l.zero_subspace()] + [
-                Subspace.span(f, l.dim, [[rng.randrange(p) for _ in range(l.dim)] for _ in range(k)])
-                for k in (1, 1, 2, 2, 3, 3, 4)
-            ]
+            vectors = lambda k: [[rng.randrange(p) for _ in range(l.dim)] for _ in range(k)]
+            spaces = [l.full_subspace(), l.zero_subspace()]
+            spaces += [Subspace.span(f, l.dim, vectors(k)) for k in (1, 1, 2, 2, 3, 3, 4)]
             for u, v in itertools.product(spaces, repeat=2):
                 assert l.product_space(u, v) == _product_space_oracle(l, u, v), (l.name, u, v)
                 pairs += 1
