@@ -18,6 +18,8 @@ from .linalg import (
     Scalar,
     Subspace,
     Vector,
+    _insert,
+    _span,
     invert_matrix,
     nullspace,
     unit_vector,
@@ -47,11 +49,11 @@ def _normalize_table(f: Field, table) -> tuple:
 def _pack_table(p: int, table) -> tuple:
     """(b, columns) over F_p. A vector is one int of b-bit fields, field k holding coordinate
     k; columns[j] holds [e_i, e_j] in its super-field i, of b n bits. b is the bit length of
-    n^3 (p-1)^4, so no field carries: for reduced x, y, v the right images [e_i, y] have
-    fields up to n (p-1)^2, the products [x, y] = sum_i x_i [e_i, y] and the powers
-    v^(k+1) = sum_i (v^k)_i [e_i, v] up to n^2 (p-1)^3, check functionals
-    (wqi_elementwise) up to n^3 (p-1)^4."""
-    n, b = len(table), max(1, (len(table) ** 3 * (p - 1) ** 4).bit_length())
+    n^2 (p-1)^3, so no field carries: for reduced x, y, v the right images [e_i, y] have
+    fields up to n (p-1)^2, and the largest sums formed from them, the products
+    [x, y] = sum_i x_i [e_i, y] (product_space) and the powers v^(k+1) = sum_i (v^k)_i [e_i, v]
+    (cyclic_subalgebra), up to n^2 (p-1)^3."""
+    n, b = len(table), max(1, (len(table) ** 2 * (p - 1) ** 3).bit_length())
     return b, [sum([c << b * (k + n * i) for i, row in enumerate(col) for k, c in enumerate(row)])
                for col in zip(*table)]
 
@@ -65,27 +67,6 @@ def _right_images(packed: tuple, y) -> list:
 
 def _unpack(w: int, b: int, n: int, p: int) -> list:
     return [(w >> s & (1 << b) - 1) % p for s in range(0, b * n, b)]
-
-
-def _insert(f: Field, echelon: dict, v) -> bool:
-    """Add the reduced row v to a fully reduced echelon {pivot: row}; False if v is in its span."""
-    for piv, row in echelon.items():
-        v = f.sub_scaled_row(v, v[piv], row) if v[piv] else v
-    for lead, c in enumerate(v):
-        if c:
-            v = f.scale_row(f.inv(c), v)
-            for piv, row in echelon.items():
-                echelon[piv] = f.sub_scaled_row(row, row[lead], v) if row[lead] else row
-            echelon[lead] = v
-            return True
-    return False
-
-
-def _span(f: Field, n: int, rows, echelon: dict) -> Subspace:
-    """Insert the rows; the echelon's rows sorted by pivot are then the span's (unique) RREF."""
-    for v in rows:
-        _insert(f, echelon, v)
-    return Subspace(f, n, tuple(tuple(echelon[piv]) for piv in sorted(echelon)))
 
 
 def _vector_bracket(f: Field, table, x: Vector, y: Vector) -> Vector:
@@ -236,7 +217,7 @@ class LeibnizAlgebra:
             raise AlgebraError("ambient mismatch")
         f, n, packed = self.field, self.dim, self._packed
         if packed is None:
-            return Subspace.span(f, n, [self.bracket(a, b) for a in u.basis for b in v.basis])
+            return _span(f, n, (self.bracket(a, b) for a in u.basis for b in v.basis), {})
         images = [_right_images(packed, y) for y in v.basis]
         products = (sum([c * r for c, r in zip(a, im) if c]) for a in u.basis for im in images)
         return _span(f, n, (_unpack(w, packed[0], n, f.p) for w in products if w), {})
@@ -254,19 +235,18 @@ class LeibnizAlgebra:
         """<v> = span{v, v^2, ...} with v^(k+1) = [v^k, v], up to the first power already
         in the span. The squares span an ideal I with [L, I] = 0 (y = z in the right
         identity), so [v^i, v^j] = 0 for j >= 2 and the span of the powers is closed.
-        Over F_p each power is one combination of the packed right images [e_i, v]."""
+        Each power goes into one echelon; over F_p it is one combination of the packed
+        right images [e_i, v]."""
         f, n, packed = self.field, self.dim, self._packed
-        if packed is None:
-            u, power = Subspace.span(f, n, [v]), v
-            while not u.contains(power := self.bracket(power, v)):
-                u = Subspace.span(f, n, u.basis + (power,))
-            return u
         if len(v) != n:
             raise AlgebraError("vector length mismatch")
-        power, echelon = f.normalize_row(v), {}
-        right = _right_images(packed, power)
+        power = x = f.normalize_row(v)
+        right, echelon = _right_images(packed, x) if packed else None, {}
         while _insert(f, echelon, power):
-            power = _unpack(sum([c * r for c, r in zip(power, right) if c]), packed[0], n, f.p)
+            if packed is None:
+                power = self.bracket(power, x)
+            else:
+                power = _unpack(sum([c * r for c, r in zip(power, right) if c]), packed[0], n, f.p)
         return _span(f, n, (), echelon)
 
     # -- series and solvability -------------------------------------------

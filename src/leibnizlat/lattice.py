@@ -23,7 +23,7 @@ from functools import reduce
 from typing import Dict, List, Optional
 
 from .linalg import BudgetExceeded, Subspace, enumerate_subspaces
-from .algebra import LeibnizAlgebra, StructureReport, UnsupportedFieldError, _right_images, _span
+from .algebra import LeibnizAlgebra, StructureReport, UnsupportedFieldError
 
 DEFAULT_NODE_BUDGET = 5000
 
@@ -223,64 +223,32 @@ def all_subalgebras_wqi(l: LeibnizAlgebra, lat: SubalgebraLattice) -> Verdict:
 
 
 def wqi_elementwise(l: LeibnizAlgebra, lat: SubalgebraLattice, budget: int = 10 ** 6) -> Verdict:
-    """[x,y] in <x> + <y> over all element pairs; <x> is read off the lattice's line map,
-    and the pair test is independent of the node scan.
+    """[x,y] in <x> + <y> over all element pairs; <x> is read off the lattice's line map.
 
     Scaling changes neither side ([cx,dy] = cd[x,y] and <cx> = <x>), so one
     monic vector per line decides it. The monic vector is the smallest on its
     line, so the first failing monic pair is the first failing pair of the
     lexicographic scan over all vectors. The budget still bounds p^(2n).
 
-    The images [x,e_j] = sum_i x_i [e_i,e_j] are packed once per line x, from the columns
-    of the algebra's packed table (``algebra._pack_table``), so [x,y] = sum_j y_j [x,e_j]
-    is at most n multiply-adds. v lies in a subspace S iff h(v) = 0 mod p for each check
-    functional h of S (``_check_functionals``), packed in reverse so that field n-1 of
-    v * h is h(v). The functionals of <x> are kept per cyclic node and those of <x> + <y>
-    per unordered pair, so a bracket in <x> or <y> needs no sum, and a sum inserts the
-    rows of <y> into the echelon of <x>.
+    A pair with cyclic nodes A = <x>, C = <y> passes at once when A + C is a subalgebra,
+    as [x,y] then lies in [A + C, A + C]. A + C <= A v C, and the meet A ^ C is the
+    intersection, so A + C is a node iff dim(A v C) + dim(A ^ C) = dim A + dim C.
+    Otherwise [x,y] is tested against A + C, formed once per cyclic pair.
     """
-    f, p, n = l.field, l.field.p, l.dim
+    p, n = l.field.p, l.dim
     if p ** (2 * n) > budget:
         raise BudgetExceeded("p^(2n) = %d exceeds budget %d" % (p ** (2 * n), budget))
-    b = l._packed[0]
-    top, mask = b * (n - 1), (1 << b) - 1
-    columns = [_right_images(l._packed, e) for e in l.full_subspace().basis]  # [e_i, e_j]
     scan = list(zip(l.monic_lines(budget), lat.cyclic_of_lines()))
-    checks = {(a, a): _check_functionals(lat.nodes[a], b) for a in set(lat.cyclic_of_lines())}
-
-    def outside(w: int, h: List[int]) -> bool:
-        return any((w * hf >> top & mask) % p for hf in h)
-
+    nodes, sums = lat.nodes, {}
     for x, a in scan:
-        images = [sum([xi * r for xi, r in zip(x, col) if xi]) for col in columns]
-        if not any(images):
-            continue
         for y, c in scan:
-            w = sum([yj * im for yj, im in zip(y, images) if yj])
-            if not w:
-                continue
-            h = checks.get((a, c))
-            if h is None:
-                if not (outside(w, checks[a, a]) and outside(w, checks[c, c])):
-                    continue  # [x,y] lies in <x> or in <y>: no sum is needed yet
-                sa, sc = lat.nodes[a], lat.nodes[c]
-                s = _span(f, n, sc.basis, dict(zip(sa.pivots, sa.basis)))
-                h = checks[a, c] = checks[c, a] = _check_functionals(s, b)
-            if outside(w, h):
+            if (a, c) not in sums:
+                dims = nodes[lat.join_index(a, c)].dim + nodes[lat.meet_index(a, c)].dim
+                sums[a, c] = None if dims == nodes[a].dim + nodes[c].dim else nodes[a].sum(nodes[c])
+            s = sums[a, c]
+            if s is not None and not s.contains(l.bracket(x, y)):
                 return Verdict(False, (x, y))
     return Verdict(True, None)
-
-
-def _check_functionals(s: Subspace, b: int) -> List[int]:
-    """One functional per non-pivot column f of the RREF basis, packed in reverse with
-    b-bit fields: h_f(v) = v_f - sum_r v_(pivot r) s_r[f], and v is in s iff every
-    h_f(v) is 0, since v - sum_r v_(pivot r) s_r is 0 at the pivots."""
-    p, n, rows = s.field.p, s.ambient_dim, list(zip(s.basis, s.pivots))
-    return [
-        sum([(-row[f] % p) << b * (n - 1 - piv) for row, piv in rows], 1 << b * (n - 1 - f))
-        for f in range(n)
-        if f not in s.pivots
-    ]
 
 
 # -- the Frattini ideal and J ----------------------------------------------

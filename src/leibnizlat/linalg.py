@@ -163,33 +163,34 @@ def unit_vector(f: Field, n: int, i: int) -> Vector:
 
 
 def rref(f: Field, rows: Sequence[Sequence[Scalar]]):
-    """Reduced row echelon form.  Returns (rref_rows, rank); zero rows dropped."""
+    """RREF by inserting the rows into one echelon.  Returns (rref_rows, rank), no zero rows."""
     work = [f.normalize_row(row) for row in rows]
-    if work:
-        ncols = len(work[0])
-        if any(len(r) != ncols for r in work):
-            raise LinalgError("ragged matrix")
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if work[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank] = f.scale_row(f.inv(work[rank][col]), work[rank])
-        for r in range(nrows):
-            if r != rank and work[r][col]:
-                work[r] = f.sub_scaled_row(work[r], work[r][col], pivot)
-        rank += 1
-        if rank == nrows:
-            break
-    result = tuple(tuple(row) for row in work[:rank] if any(row))
-    return result, len(result)
+    if any(len(r) != len(work[0]) for r in work):
+        raise LinalgError("ragged matrix")
+    basis = _span(f, len(work[0]) if work else 0, work, {}).basis
+    return basis, len(basis)
+
+
+def _insert(f: Field, echelon: dict, v) -> bool:
+    """Add the reduced row v to a fully reduced echelon {pivot: row}; False if v is in its span.
+    The one elimination routine: every RREF in the package is built by it."""
+    for piv, row in echelon.items():
+        v = f.sub_scaled_row(v, v[piv], row) if v[piv] else v
+    for lead, c in enumerate(v):
+        if c:
+            v = f.scale_row(f.inv(c), v)
+            for piv, row in echelon.items():
+                echelon[piv] = f.sub_scaled_row(row, row[lead], v) if row[lead] else row
+            echelon[lead] = v
+            return True
+    return False
+
+
+def _span(f: Field, n: int, rows, echelon: dict) -> Subspace:
+    """Insert the reduced rows; the echelon's rows sorted by pivot are the span's RREF."""
+    for v in rows:
+        _insert(f, echelon, v)
+    return Subspace(f, n, tuple(tuple(echelon[piv]) for piv in sorted(echelon)))
 
 
 def _pivots_of(rows: Matrix) -> tuple:
@@ -263,8 +264,9 @@ class Subspace:
         return all(not any(other._residual(row)) for row in self.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """Other's basis inserted into an echelon seeded with this RREF."""
         self._check_ambient(other)
-        return Subspace.span(self.field, self.ambient_dim, self.basis + other.basis)
+        return _span(self.field, self.ambient_dim, other.basis, dict(zip(self.pivots, self.basis)))
 
     def intersection(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

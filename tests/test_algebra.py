@@ -429,8 +429,8 @@ def test_packed_scan_holds_on_a_dense_f31_algebra():
 
 
 def _cyclic_power_oracle(l, v):
-    """<v> by the power loop with one Subspace.span per power: the path over Q, and the
-    oracle the F_p closure on the packed table is tested against."""
+    """<v> by the power loop with one Subspace.span per power: the oracle the echelon
+    closure is tested against, on the packed table over F_p and by brackets over Q."""
     u, power = Subspace.span(l.field, l.dim, [v]), v
     while True:
         power = l.bracket(power, v)
@@ -452,7 +452,7 @@ def test_cyclic_subalgebra_is_the_closure_of_one_vector():
     q = Field.rational()
     for l in (catalog.cyclic_solvable(4, q), catalog.cyclic_nilpotent(4, q)):
         for v in ((0, 0, 0, 0), (1, 0, 0, 0), (Fraction(1, 2), -2, 3, 0), (0, 1, 1, 1)):
-            assert l.cyclic_subalgebra(v) == l.subalgebra_closure([v]), (l.name, v)
+            assert l.cyclic_subalgebra(v) == l.subalgebra_closure([v]) == _cyclic_power_oracle(l, v)
 
 
 def test_cyclic_subalgebra_matches_the_power_loop():

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -638,13 +639,14 @@ def test_wqi_elementwise_matches_oracle_in_small_dims_and_wide_fields():
 
 
 def test_wqi_elementwise_pair_loop_calls_no_bracket_or_contains(monkeypatch):
-    # the pairs read packed images and check functionals, and <x> comes from the
-    # lattice's line map, built here before the spies: no bracket or contains call is left
+    # every cyclic pair of this algebra sums to a node, so the node-sum test passes every
+    # line pair off the lattice's join and meet: with <x> from the line map, built here
+    # before the spies, the pair loop makes no bracket, no contains and no sum
     l = catalog.cyclic_solvable(3, F3).change_of_basis(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     lat = enumerate_subalgebras(l)
     lat.cyclic_of_lines()
     calls = {}
-    for cls, name in ((LeibnizAlgebra, "bracket"), (Subspace, "contains")):
+    for cls, name in ((LeibnizAlgebra, "bracket"), (Subspace, "contains"), (Subspace, "sum")):
         def spy(*args, _name=name, _original=getattr(cls, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(*args)
@@ -652,6 +654,51 @@ def test_wqi_elementwise_pair_loop_calls_no_bracket_or_contains(monkeypatch):
         monkeypatch.setattr(cls, name, spy)
     assert wqi_elementwise(l, lat) == (True, None)
     assert calls == {}
+
+
+def test_cyclic_pairs_with_a_node_sum_pass_the_pair_oracle(base_lattices):
+    # wqi_elementwise passes a line pair at once when dim(A v C) + dim(A ^ C) = dim A + dim C
+    # for its cyclic nodes A, C. That holds iff A + C is the join node, and then the
+    # node-pair oracle's bracket test passes the pair, on the 86 base members and the ten
+    # workload algebras
+    cases = list(base_lattices)
+    for family, params, p in _WORKLOAD_ALGEBRAS:
+        l = catalog.FAMILIES[family][0](*params, Field.prime(p))
+        cases.append((l, enumerate_subalgebras(l)))
+    counts = collections.Counter()
+    for l, lat in cases:
+        for i, j in itertools.combinations(sorted(set(lat.cyclic_of_lines())), 2):
+            a, c, join = lat.nodes[i], lat.nodes[j], lat.nodes[lat.join_index(i, j)]
+            node_sum = join.dim + lat.nodes[lat.meet_index(i, j)].dim == a.dim + c.dim
+            assert (a.sum(c) == join) == node_sum, (l.name, a, c)
+            if node_sum:
+                assert not _wqi_violated(l, a, c), (l.name, a, c)
+            counts[node_sum] += 1
+    # every pair that is no node sum is heisenberg's, 15,379 of them over F_13
+    assert counts == {True: 14682, False: 23806}
+
+
+def test_wqi_elementwise_keeps_its_verdicts_and_witnesses(monkeypatch):
+    # (name, holds, witness) on the 265 in-budget seed-7 members and on heisenberg over F_2
+    # and F_3 in the catalog basis, pinned from the scan that tested every line pair on
+    # packed images and check functionals; the node-sum scan forms 8 subspace sums there
+    members = [l for l in catalog.corpus(7) if l.field.p ** (2 * l.dim) <= 10 ** 4]
+    assert len(members) == 265
+    members += [catalog.heisenberg_lie(F2), catalog.heisenberg_lie(F3)]
+    lattices = [enumerate_subalgebras(l) for l in members]
+    sums = []
+
+    def spy(u, v, _original=Subspace.sum):
+        sums.append((u, v))
+        return _original(u, v)
+
+    monkeypatch.setattr(Subspace, "sum", spy)
+    rows = [(l.name, tuple(wqi_elementwise(l, lat))) for l, lat in zip(members, lattices)]
+    assert sum(not holds for _, (holds, _) in rows) == 10
+    assert rows[-2:] == [(l.name, (False, ((0, 1, 0), (1, 0, 0)))) for l in members[-2:]]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "717cdd865cdc3333ced6c5e6fdbaa952f5553f4e16a8cdf49e7c70abe39fc9d5"
+    assert len(sums) == 10  # 8 on the corpus members, one per heisenberg
 
 
 @pytest.mark.parametrize("field", [F3, F5, F7])

@@ -399,3 +399,84 @@ def test_fraction_scalars_over_fp():
 def test_pivots_are_kept_with_each_subspace():
     for s in enumerate_subspaces(F3, 3):
         assert s.pivots == _pivots_of(s.basis)
+
+
+# -- the one elimination routine -------------------------------------------
+# rref, Subspace.span and Subspace.sum all insert rows into one fully reduced
+# echelon (linalg._insert); the sum seeds it with the first subspace's RREF rows.
+
+
+def test_rref_edge_cases_match_the_column_sweep():
+    cases = [
+        (F3, []),
+        (F5, [(0, 0, 0), (0, 0, 0)]),
+        (Q, [(0, 0), (Fraction(0), 0)]),
+        (F2, [(1, 0, 1), (1, 0, 1), (1, 0, 1)]),
+        (F31, [(3, 7), (6, 14), (3, 7), (0, 0)]),
+        (Q, [(Fraction(1, 2), 1, 0), (1, 2, 0), (1, 2, 0)]),
+    ]
+    for f, rows in cases:
+        assert repr(rref(f, rows)) == repr(_ref_rref(f, rows)), (f, rows)
+    assert rref(F3, []) == ((), 0)
+    assert rref(F5, [(0, 0, 0)]) == ((), 0)
+    assert rref(F2, [(1, 0, 1)] * 3) == (((1, 0, 1),), 1)
+    for f, ragged in ((F3, [(1, 2), (1, 2, 0)]), (Q, [(1,), ()])):
+        for kernel in (rref, _ref_rref):
+            with pytest.raises(LinalgError, match="ragged"):
+                kernel(f, ragged)
+
+
+def _assert_sum_is_the_span(u, v):
+    expected = Subspace.span(u.field, u.ambient_dim, u.basis + v.basis)
+    got = u.sum(v)
+    assert repr(got.basis) == repr(expected.basis), (u, v)
+    assert got.pivots == _pivots_of(expected.basis)
+
+
+@pytest.mark.parametrize("f", [F2, F3], ids=["F2", "F3"])
+def test_sum_is_the_span_on_every_subspace_pair(f):
+    subspaces = list(enumerate_subspaces(f, 3))
+    for u, v in itertools.product(subspaces, repeat=2):
+        _assert_sum_is_the_span(u, v)
+    assert len(subspaces) == {2: 16, 3: 28}[f.p]
+
+
+def test_sum_is_the_span_on_random_pairs():
+    rng = random.Random(5)
+    fractions = [Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3)]
+    for f in (F5, F31, Q):
+        scalars = fractions if f == Q else list(f.elements())
+        for _ in range(150):
+            n = rng.randrange(1, 6)
+            u, v = ([[rng.choice(scalars) for _ in range(n)] for _ in range(rng.randrange(n + 1))]
+                    for _ in range(2))
+            _assert_sum_is_the_span(Subspace.span(f, n, u), Subspace.span(f, n, v))
+
+
+def _power_span_oracle(l, v):
+    """<v> as the span of v, v^2, ..., v^(n+1), each power a bracket: the powers past the
+    first one already in the span add nothing, since right multiplication by v is linear."""
+    powers = [tuple(v)]
+    for _ in range(l.dim):
+        powers.append(l.bracket(powers[-1], v))
+    return Subspace.span(l.field, l.dim, powers)
+
+
+def test_cyclic_subalgebra_over_q_matches_the_power_span():
+    rng = random.Random(7)
+    entries = [Fraction(k, d) for k in range(-2, 3) for d in (1, 2)]
+    base = (1, 1, 0, 0), (0, 1, 1, 0), (Fraction(1, 2), 0, 1, 1), (0, 0, 0, 1)
+    algebras = []
+    for make in (catalog.cyclic_solvable, catalog.cyclic_nilpotent, catalog.almost_abelian_nonlie):
+        l = make(4, Q)
+        algebras += [l, l.change_of_basis(base)]
+    algebras.append(catalog.heisenberg_lie(Q))
+    dims = set()
+    for l in algebras:
+        vectors = [tuple(rng.choice(entries) for _ in range(l.dim)) for _ in range(25)]
+        vectors += [tuple(l.basis_vector(i)) for i in range(l.dim)] + [(0,) * l.dim]
+        for v in vectors:
+            u = l.cyclic_subalgebra(v)
+            assert repr(u.basis) == repr(_power_span_oracle(l, v).basis), (l.name, v)
+            dims.add(u.dim)
+    assert dims == {0, 1, 2, 3, 4}

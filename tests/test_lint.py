@@ -235,3 +235,34 @@ def test_no_attribute_is_added_to_an_algebra(p):
     l.cyclic_subalgebra((1, 0, 0))
     lattice.wqi_elementwise(l, lattice.enumerate_subalgebras(l))
     assert set(vars(l)) == keys
+
+
+def _inverse_scalings(tree):
+    """The function names around each ``scale_row(<...>.inv(...), ...)`` call: a row
+    scaled by a field inverse, the step that makes a pivot 1 in an elimination."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "scale_row"
+                and node.args
+                and isinstance(node.args[0], ast.Call)
+                and isinstance(node.args[0].func, ast.Attribute)
+                and node.args[0].func.attr == "inv"
+            ):
+                yield func.name
+
+
+def test_one_elimination_routine():
+    """Every RREF in the package (rref, Subspace.span and sum, nullspace, invert_matrix, the
+    spans of product_space and cyclic_subalgebra) is built by ``linalg._insert``; a second
+    elimination loop would scale its pivot rows by an inverse too."""
+    found = [
+        "%s:%s" % (path.name, name)
+        for path in MODULES
+        for name in _inverse_scalings(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == ["linalg.py:_insert"], "rows scaled by an inverse in: %s" % ", ".join(found)
