@@ -46,23 +46,32 @@ def _normalize_table(f: Field, table) -> tuple:
     return tuple(tuple(tuple(f.normalize_row(row)) for row in plane) for plane in table)
 
 
-def _pack_table(p: int, table) -> tuple:
-    """(b, columns) over F_p. A vector is one int of b-bit fields, field k holding coordinate
-    k; columns[j] holds [e_i, e_j] in its super-field i, of b n bits. b is the bit length of
-    n^2 (p-1)^3, so no field carries: for reduced x, y, v the right images [e_i, y] have
-    fields up to n (p-1)^2, and the largest sums formed from them, the products
-    [x, y] = sum_i x_i [e_i, y] (product_space) and the powers v^(k+1) = sum_i (v^k)_i [e_i, v]
-    (cyclic_subalgebra), up to n^2 (p-1)^3."""
-    n, b = len(table), max(1, (len(table) ** 2 * (p - 1) ** 3).bit_length())
-    return b, [sum([c << b * (k + n * i) for i, row in enumerate(col) for k, c in enumerate(row)])
+def _pack_table(f: Field, table) -> tuple:
+    """(b, columns, rows) over F_p. A vector is one int of b-bit fields, field k holding
+    coordinate k; columns[j] holds [e_i, e_j] in its super-field i, of b n bits. rows is the
+    RREF of the span of the vectors (c_{i,j,k})_j, whose common kernel is the right
+    annihilator K_R = {y : [L, y] = 0}: R_y = [., y] depends on y only through (r . y).
+    b is the bit length of n^2 (p-1)^3, so no field carries: for reduced x, y the right
+    images [e_i, y] have fields up to n (p-1)^2, and each super-field of a product in
+    _times sums at most n of them times x_i, up to n^2 (p-1)^3."""
+    n, b = len(table), max(1, (len(table) ** 2 * (f.p - 1) ** 3).bit_length())
+    columns = [sum([c << b * (k + n * i) for i, row in enumerate(col) for k, c in enumerate(row)])
                for col in zip(*table)]
+    rows = {col for plane in table for col in zip(*plane) if any(col)}
+    return b, columns, _span(f, n, rows, {}).basis
 
 
-def _right_images(packed: tuple, y) -> list:
-    """[e_i, y] for each i, packed: the super-fields of sum_j y_j columns[j]."""
-    (b, columns), n = packed, len(y)
-    w, mask = sum([c * col for c, col in zip(y, columns) if c]), (1 << b * n) - 1
-    return [w >> b * n * i & mask for i in range(n)]
+def _images(columns, y) -> int:
+    """sum_j y_j columns[j]: every right image [e_i, y] at once, in super-field i."""
+    return sum([c * col for c, col in zip(y, columns) if c])
+
+
+def _times(x, w: int, b: int) -> int:
+    """[x, y] = sum_i x_i [e_i, y], packed, from y's right images w: with x_i put in
+    super-field n - 1 - i, super-field n - 1 of the one product holds exactly that sum."""
+    wide = b * len(x)
+    rx = sum([c << wide * i for i, c in enumerate(reversed(x)) if c])
+    return rx * w >> wide * (len(x) - 1) & (1 << wide) - 1
 
 
 def _unpack(w: int, b: int, n: int, p: int) -> list:
@@ -99,26 +108,31 @@ def _leibniz_violation(f: Field, table, left: bool) -> Optional[Tuple[int, int, 
     Over F_p each row table[a][b] is one int of w-bit fields, so a term such as
     [e_i,[e_j,e_k]] = sum_m c_jk^m [e_i,e_m] is one multiply-add per nonzero constant.
     A term's field is at most n(p-1)^2; a per-field offset, a multiple of p covering
-    two terms, keeps the difference's fields from borrowing or carrying."""
+    two terms, keeps the difference's fields from borrowing or carrying, so each is at
+    most top. Fields wide enough for top * magic give every field's quotient by p from one
+    multiply-shift, and the triple holds iff p times the quotients is the difference."""
     if f.p is None:
         return _row_leibniz_violation(f, table, left)
     p, n = f.p, len(table)
     rows = [[f.normalize_row(row) for row in plane] for plane in table]
     term = n * (p - 1) ** 2
     offset = -(-2 * term // p) * p
-    w = max(1, (offset + 2 * term).bit_length())  # n = 0 has no fields but needs a step
-    mask, shifts = (1 << w) - 1, range(0, w * n, w)
-    packed = [[sum([x << s for x, s in zip(row, shifts)]) for row in plane] for plane in rows]
+    s = (top := offset + 2 * term).bit_length() + p.bit_length()  # 2^s > p top, and so
+    magic = -(-(1 << s) // p)  # x * magic >> s = floor(x / p) for 0 <= x <= top
+    w = max(1, (top * magic).bit_length())  # n = 0 has no fields but needs a step
+    shifts = range(0, w * n, w)
+    packed = [[sum([x << t for x, t in zip(row, shifts)]) for row in plane] for plane in rows]
     columns = list(zip(*packed))  # columns[b][a] = packed[a][b]
     nonzero = [[[(m, c) for m, c in enumerate(row) if c] for row in plane] for plane in rows]
-    base = sum([offset << s for s in shifts])
+    base = sum([offset << t for t in shifts])
+    quotients = sum([(1 << w - s) - 1 << t for t in shifts])
     third = packed if left else columns  # [e_j, e_m] or [e_m, e_j]
     for i, j, k in itertools.product(range(n), repeat=3):
         lhs = sum([c * packed[i][m] for m, c in nonzero[j][k]])
         t1 = sum([c * columns[k][m] for m, c in nonzero[i][j]])
         t = sum([c * third[j][m] for m, c in nonzero[i][k]])
         d = lhs - t1 - t if left else lhs - t1 + t
-        if d and any((((d + base) >> s) & mask) % p for s in shifts):
+        if d and (x := d + base) != p * (x * magic >> s & quotients):
             return (i, j, k)
     return None
 
@@ -179,7 +193,7 @@ class LeibnizAlgebra:
             raise AlgebraError(
                 "tensor violates the right Leibniz identity at basis triple %r" % (bad,)
             )
-        object.__setattr__(self, "_packed", _pack_table(f.p, self.table) if f.p else None)
+        object.__setattr__(self, "_packed", _pack_table(f, self.table) if f.p else None)
 
     # -- basic products ----------------------------------------------------
 
@@ -213,14 +227,19 @@ class LeibnizAlgebra:
         return Subspace.full(self.field, self.dim)
 
     def product_space(self, u: Subspace, v: Subspace) -> Subspace:
+        """[U, V]. Over F_p, R_y depends on y only through (r . y) for the packed rows r, so
+        the rows z of V with independent (r . z) give every R_y, y in V, as a combination
+        of their R_z, and the dim U * |Z| products [a, z] span [U, V]."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise AlgebraError("ambient mismatch")
         f, n, packed = self.field, self.dim, self._packed
         if packed is None:
             return _span(f, n, (self.bracket(a, b) for a in u.basis for b in v.basis), {})
-        images = [_right_images(packed, y) for y in v.basis]
-        products = (sum([c * r for c, r in zip(a, im) if c]) for a in u.basis for im in images)
-        return _span(f, n, (_unpack(w, packed[0], n, f.p) for w in products if w), {})
+        (b, columns, rows), keys = packed, {}
+        images = [_images(columns, z) for z in v.basis if len(keys) < len(rows)
+                  and _insert(f, keys, [sum([a * c for a, c in zip(r, z)]) % f.p for r in rows])]
+        products = (_times(a, w, b) for a in u.basis for w in images)
+        return _span(f, n, (_unpack(w, b, n, f.p) for w in products if w), {})
 
     def subalgebra_closure(self, vectors: Sequence[Vector]) -> Subspace:
         u = Subspace.span(self.field, self.dim, list(vectors))
@@ -235,18 +254,18 @@ class LeibnizAlgebra:
         """<v> = span{v, v^2, ...} with v^(k+1) = [v^k, v], up to the first power already
         in the span. The squares span an ideal I with [L, I] = 0 (y = z in the right
         identity), so [v^i, v^j] = 0 for j >= 2 and the span of the powers is closed.
-        Each power goes into one echelon; over F_p it is one combination of the packed
-        right images [e_i, v]."""
+        Each power goes into one echelon; over F_p it is one product by the packed right
+        images [e_i, v] (_times)."""
         f, n, packed = self.field, self.dim, self._packed
         if len(v) != n:
             raise AlgebraError("vector length mismatch")
         power = x = f.normalize_row(v)
-        right, echelon = _right_images(packed, x) if packed else None, {}
+        right, echelon = _images(packed[1], x) if packed else None, {}
         while _insert(f, echelon, power):
             if packed is None:
                 power = self.bracket(power, x)
             else:
-                power = _unpack(sum([c * r for c, r in zip(power, right) if c]), packed[0], n, f.p)
+                power = _unpack(_times(power, right, packed[0]), packed[0], n, f.p)
         return _span(f, n, (), echelon)
 
     # -- series and solvability -------------------------------------------

@@ -260,8 +260,9 @@ class Subspace:
         return not any(self.reduce(v))
 
     def leq(self, other: "Subspace") -> bool:
+        """Each RREF row reduces to 0 against other; False at once when dim self > dim other."""
         self._check_ambient(other)
-        return all(not any(other._residual(row)) for row in self.basis)
+        return self.dim <= other.dim and all(not any(other._residual(row)) for row in self.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         """Other's basis inserted into an echelon seeded with this RREF."""

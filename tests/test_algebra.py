@@ -18,7 +18,11 @@ from leibnizlat import (
     check_left_leibniz,
 )
 from leibnizlat.algebra import (
+    _images,
+    _pack_table,
     _row_leibniz_violation,
+    _times,
+    _unpack,
     left_leibniz_violation,
     right_leibniz_violation,
 )
@@ -426,6 +430,44 @@ def test_packed_scan_holds_on_a_dense_f31_algebra():
     assert sum(1 for x in entries if x) > len(entries) // 2
     right, left = _scans_agree(F31, l.table)
     assert right is None and left is not None
+
+
+def test_packed_scan_matches_row_scan_after_one_constant_changes():
+    # one structure constant of each corpus tensor moved by a nonzero amount, the tensor read
+    # over F_2 to F_31: the quotient fields are narrowest over F_2 and widest over F_31
+    rng = random.Random(27)
+    outcomes = collections.Counter()
+    for l in catalog.corpus(7):
+        for f in (F2, F3, F5, Field.prime(7), F31):
+            table = [[list(row) for row in plane] for plane in l.table]
+            i, j, k = (rng.randrange(l.dim) for _ in range(3))
+            table[i][j][k] += rng.randrange(1, f.p)
+            right, left = _scans_agree(f, table)
+            outcomes[right is None, left is None] += 1
+    assert sum(outcomes.values()) == 5 * 305
+    assert len(outcomes) == 4, outcomes  # every mix of right and left verdicts
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 4), (31, 3), (31, 8)])
+def test_packed_product_holds_the_largest_sums(p, n):
+    # every structure constant and coordinate p - 1, a table no Leibniz algebra has: each
+    # field of a product reaches the bound n^2 (p-1)^3, and none may carry
+    f = Field.prime(p)
+    table = [[[p - 1] * n for _ in range(n)] for _ in range(n)]
+    b, columns, rows = _pack_table(f, table)
+    x = [p - 1] * n
+    assert _unpack(_times(x, _images(columns, x), b), b, n, p) == [n * n * (p - 1) ** 3 % p] * n
+    assert len(rows) == 1
+
+
+def test_right_annihilator_census():
+    # m, the codimension of K_R = {y : [L, y] = 0} (the rank of the packed table's rows),
+    # on the seed-7 corpus: m = 0 gives product_space no product, 0 < m < dim a proper
+    # selection of the rows of V, and m = dim every row
+    census = collections.Counter(len(l._packed[2]) for l in catalog.corpus(7))
+    assert census == {0: 57, 1: 161, 2: 51, 3: 28, 4: 8}
+    shapes = {(l.dim, len(l._packed[2])) for l in catalog.corpus(7)}
+    assert {(4, 0), (4, 1), (4, 3), (4, 4), (3, 2)} <= shapes
 
 
 def _cyclic_power_oracle(l, v):

@@ -22,7 +22,7 @@ from leibnizlat import (
     lattice_stats,
     wqi_elementwise,
 )
-from leibnizlat import lattice as lattice_module, linalg
+from leibnizlat import algebra as algebra_module, lattice as lattice_module, linalg
 from leibnizlat.algebra import left_leibniz_violation, right_leibniz_violation
 from leibnizlat.verify import AlgebraAnalysis
 
@@ -391,6 +391,85 @@ def test_product_space_matches_the_span_of_brackets(base_lattices):
                 assert l.product_space(u, v) == _product_space_oracle(l, u, v), (l.name, u, v)
                 pairs += 1
     assert pairs == 15 * 81
+
+
+def _workload_algebras(rng=None):
+    """The ten workload algebras, in catalog bases or, given rng, after a seeded basis change."""
+    out = [catalog.FAMILIES[f][0](*ps, Field.prime(p)) for f, ps, p in _WORKLOAD_ALGEBRAS]
+    if rng is None:
+        return out
+    return [l.change_of_basis(catalog.random_invertible(l.field, l.dim, rng)) for l in out]
+
+
+def test_packed_rows_cut_out_the_right_annihilator(base_lattices):
+    # K_R = {y : [e_i, y] = 0 for every i}, by brackets of every vector, is the common kernel
+    # of the packed table's rows, on the 86 base members and the ten workload algebras in
+    # catalog bases and after a seeded basis change, where K_R is no coordinate subspace
+    algebras = [l for l, _ in base_lattices]
+    algebras += _workload_algebras() + _workload_algebras(random.Random(27))
+    algebras += [l.change_of_basis(catalog.random_invertible(l.field, l.dim, random.Random(i)))
+                 for i, (l, _) in enumerate(base_lattices)]
+    vectors = kernel = 0
+    for l in algebras:
+        p, rows, units = l.field.p, l._packed[2], [l.basis_vector(i) for i in range(l.dim)]
+        for y in l.all_vectors():
+            in_kernel = not any(sum(a * c for a, c in zip(r, y)) % p for r in rows)
+            assert in_kernel == (not any(any(l.bracket(e, y)) for e in units)), (l.name, y)
+            vectors += 1
+            kernel += in_kernel
+    assert (vectors, kernel) == (21688, 3510)
+
+
+def test_product_space_matches_the_oracle_in_random_bases():
+    # perfbench's inputs are basis changes, where K_R is not spanned by basis vectors and
+    # product_space keeps a proper combination of the rows of S
+    subspaces = 0
+    algebras = _workload_algebras(random.Random(7))
+    assert any(sum(map(bool, r)) > 1 for l in algebras for r in l._packed[2])
+    for l in algebras:
+        for s in enumerate_subspaces(l.field, l.dim):
+            assert l.product_space(s, s) == _product_space_oracle(l, s, s), (l.name, s)
+            subspaces += 1
+    assert subspaces == 6958
+
+
+def test_product_space_forms_one_product_per_row_of_u_and_kept_row_of_v(monkeypatch):
+    # cyclic_nilpotent(4) has m = 1, so [S, S] takes dim S packed products, or none when
+    # S lies in K_R; the abelian algebra has m = 0 and takes none
+    counts = collections.Counter()
+
+    def spy(*args, _original=algebra_module._times):
+        counts["products"] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(algebra_module, "_times", spy)
+    rng = random.Random(7)
+    l = catalog.cyclic_nilpotent(4, F7).change_of_basis(catalog.random_invertible(F7, 4, rng))
+    kernel = Subspace.span(F7, 4, linalg.nullspace(F7, l._packed[2]))
+    assert kernel.dim == 3 and len(l._packed[2]) == 1
+    for s in enumerate_subspaces(F7, 4):
+        counts.clear()
+        l.product_space(s, s)
+        assert counts["products"] == (0 if s.leq(kernel) else s.dim), s
+    abelian = catalog.abelian(3, F7)
+    counts.clear()
+    for s in enumerate_subspaces(F7, 3):
+        assert abelian.product_space(s, s).dim == 0
+    assert counts["products"] == 0
+
+
+def test_all_wqi_implies_modular_on_the_workload_algebras():
+    # when all-WQI holds, A + C is a subalgebra for any nodes A and C, so A v C = A + C and
+    # dim(A v C) + dim(A ^ C) = dim A + dim C: dimension is a valuation, and a lattice of
+    # finite length with one is modular (Birkhoff, Lattice Theory, 1967, ch. X), for every
+    # L, solvable or not; rem-equiv covers solvable L only
+    verdicts = collections.Counter()
+    for l in _workload_algebras():
+        lat = enumerate_subalgebras(l)
+        wqi, modular = all_subalgebras_wqi(l, lat).holds, is_modular(lat).holds
+        assert modular or not wqi, l.name
+        verdicts[wqi, modular] += 1
+    assert verdicts == {(True, True): 8, (False, False): 2}  # heisenberg fails both
 
 
 def test_filter_and_line_map_call_no_rref_or_bracket(monkeypatch):
