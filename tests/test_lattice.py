@@ -361,23 +361,34 @@ def test_pruned_witness_scan_matches_the_full_triple_loop():
     assert witnesses[16:18] == [(2, 13, 134), (2, 15, 184)]  # heisenberg/F11, /F13
 
 
+def _workload_algebras(rng=None):
+    """The ten workload algebras, in catalog bases or, given rng, after a seeded basis change."""
+    out = [catalog.FAMILIES[f][0](*ps, Field.prime(p)) for f, ps, p in _WORKLOAD_ALGEBRAS]
+    if rng is None:
+        return out
+    return [l.change_of_basis(catalog.random_invertible(l.field, l.dim, rng)) for l in out]
+
+
 def _product_space_oracle(l, u, v):
     """[U, V] as the span of the basis brackets by Subspace.span."""
     return Subspace.span(l.field, l.dim, [l.bracket(a, b) for a in u.basis for b in v.basis])
 
 
 def test_product_space_matches_the_span_of_brackets(base_lattices):
-    # [S, S] on every subspace S of the 86 base members and the ten workload algebras,
-    # which is the subalgebra filter's call; [U, V] on pairs of subspaces of dense random
-    # basis changes over F_2 to F_31, whose fields are the widest the packed table holds
-    algebras = [l for l, _ in base_lattices]
-    algebras += [catalog.FAMILIES[f][0](*ps, Field.prime(p)) for f, ps, p in _WORKLOAD_ALGEBRAS]
+    # [S, S] on every subspace S of the 86 base members and the ten workload algebras, in
+    # catalog bases and after a seeded basis change as perfbench makes, where K_R is no
+    # coordinate subspace; that is the subalgebra filter's call. [U, V] on pairs of subspaces
+    # of dense random basis changes over F_2 to F_31, whose fields are the widest the packed
+    # table holds
+    changed = _workload_algebras(random.Random(7))
+    assert any(sum(map(bool, r)) > 1 for l in changed for r in l._packed[2])
+    algebras = [l for l, _ in base_lattices] + _workload_algebras() + changed
     subspaces = 0
     for l in algebras:
         for s in enumerate_subspaces(l.field, l.dim):
             assert l.product_space(s, s) == _product_space_oracle(l, s, s), (l.name, s)
             subspaces += 1
-    assert subspaces == 10650
+    assert subspaces == 10650 + 6958
     rng = random.Random(31)
     pairs = 0
     for p in (2, 3, 5, 7, 31):
@@ -391,14 +402,6 @@ def test_product_space_matches_the_span_of_brackets(base_lattices):
                 assert l.product_space(u, v) == _product_space_oracle(l, u, v), (l.name, u, v)
                 pairs += 1
     assert pairs == 15 * 81
-
-
-def _workload_algebras(rng=None):
-    """The ten workload algebras, in catalog bases or, given rng, after a seeded basis change."""
-    out = [catalog.FAMILIES[f][0](*ps, Field.prime(p)) for f, ps, p in _WORKLOAD_ALGEBRAS]
-    if rng is None:
-        return out
-    return [l.change_of_basis(catalog.random_invertible(l.field, l.dim, rng)) for l in out]
 
 
 def test_packed_rows_cut_out_the_right_annihilator(base_lattices):
@@ -418,19 +421,6 @@ def test_packed_rows_cut_out_the_right_annihilator(base_lattices):
             vectors += 1
             kernel += in_kernel
     assert (vectors, kernel) == (21688, 3510)
-
-
-def test_product_space_matches_the_oracle_in_random_bases():
-    # perfbench's inputs are basis changes, where K_R is not spanned by basis vectors and
-    # product_space keeps a proper combination of the rows of S
-    subspaces = 0
-    algebras = _workload_algebras(random.Random(7))
-    assert any(sum(map(bool, r)) > 1 for l in algebras for r in l._packed[2])
-    for l in algebras:
-        for s in enumerate_subspaces(l.field, l.dim):
-            assert l.product_space(s, s) == _product_space_oracle(l, s, s), (l.name, s)
-            subspaces += 1
-    assert subspaces == 6958
 
 
 def test_product_space_forms_one_product_per_row_of_u_and_kept_row_of_v(monkeypatch):
