@@ -3,8 +3,8 @@
 Run from the root of a git checkout, with both commits present:
 
     python3 tools/bench_pairs.py --parent 7fee6bc --change HEAD \\
-        --workload sparse-lattice:10 --workload dense-lattice:8 \\
-        --setup-probes 8 --out BENCH_27.json
+        --workload sparse-lattice --workload dense-lattice --pairs 10 \\
+        --setup-probes 10 --out BENCH_27.json
 
 Each side is a fresh ``git archive`` export of its commit's ``src/`` and
 ``perfbench/``, so neither holds a ``__pycache__``, and every child runs with
@@ -45,21 +45,21 @@ def order(pair: int) -> tuple:
     return SIDES if pair % 2 else SIDES[::-1]
 
 
-def quartiles(values) -> list:
+def quartiles(values, digits: int) -> list:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q1, 6), round(q3, 6)]
+    return [round(q1, digits), round(q3, digits)]
 
 
 def compare(parent: list, change: list, better: str, bound: float) -> dict:
     """One metric over paired runs: parent[k] and change[k] are pair k's values."""
     pm, cm = statistics.median(parent), statistics.median(change)
-    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    q1, q3 = quartiles(parent, 6)
     wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
     return {
         "parent_median": round(pm, 6),
-        "parent_quartiles": quartiles(parent),
+        "parent_quartiles": [q1, q3],
         "change_median": round(cm, 6),
-        "change_quartiles": quartiles(change),
+        "change_quartiles": quartiles(change, 6),
         "ratio": round(cm / pm, 4),
         "bound": bound,
         "change_wins": "%d/%d" % (wins, len(parent)),
@@ -157,7 +157,7 @@ def setup_probe(tree: Path, workload: str, seed: int, env: dict) -> float:
 
 def _spread(samples: list) -> dict:
     return {"median": round(statistics.median(samples), 4),
-            "quartiles": [round(q, 4) for q in quartiles(samples)],
+            "quartiles": quartiles(samples, 4),
             "min": round(min(samples), 4)}
 
 
@@ -171,25 +171,19 @@ def _host() -> dict:
     return {"cpu_model": model, "nproc": os.cpu_count(), "python": platform.python_version()}
 
 
-def _workload_pairs(text: str, pairs: int) -> tuple:
-    name, _, count = text.partition(":")
-    return name, int(count) if count else pairs
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit of the parent tree")
     parser.add_argument("--change", required=True, help="commit of the changed tree")
     parser.add_argument("--workload", action="append", required=True,
-                        help="NAME or NAME:PAIRS; repeat for several workloads")
-    parser.add_argument("--pairs", type=int, default=8, help="pairs of a NAME without :PAIRS")
+                        help="a perfbench workload; repeat for several, run in the order given")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--setup-probes", type=int, default=0, help="set-up spawns per tree")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    plan = [_workload_pairs(w, args.pairs) for w in args.workload]
-    if any(n < 2 for _, n in plan) or args.setup_probes == 1:
+    if args.pairs < 2 or args.setup_probes == 1:
         parser.error("quartiles need at least 2 pairs and 2 set-up probes")
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
@@ -219,8 +213,8 @@ def main(argv=None) -> int:
         for s in SIDES:
             export(revs[s], trees[s])
             doc["src_sha256"][s] = src_sha256(trees[s])
-        for workload, pairs in plan:
-            for pair in range(1, pairs + 1):
+        for workload in args.workload:
+            for pair in range(1, args.pairs + 1):
                 for side in order(pair):
                     result = bench(trees[side], workload, args.seed, args.seconds, env)
                     doc["runs"].append(dict(workload=workload, seed=args.seed, pair=pair,
@@ -232,7 +226,7 @@ def main(argv=None) -> int:
                 if pair > 1:  # a run cut short keeps every finished pair
                     doc["summary"] = summarize(doc["runs"], metrics)
                     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-        for workload, _ in plan if args.setup_probes else ():
+        for workload in args.workload if args.setup_probes else ():
             samples = {s: [] for s in SIDES}
             for k in range(1, args.setup_probes + 1):
                 for side in order(k):
