@@ -4,7 +4,7 @@ Run from the root of a git checkout, with both commits present:
 
     python3 tools/bench_pairs.py --parent 7fee6bc --change HEAD \\
         --workload sparse-lattice --workload dense-lattice --pairs 10 \\
-        --setup-probes 10 --out BENCH_27.json
+        --setup-probes 10 --out bench.json
 
 Each side is a fresh ``git archive`` export of its commit's ``src/`` and
 ``perfbench/``, so neither holds a ``__pycache__``, and every child runs with
