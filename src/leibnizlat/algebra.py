@@ -66,12 +66,14 @@ def _images(columns, y) -> int:
     return sum([c * col for c, col in zip(y, columns) if c])
 
 
-def _times(x, w: int, b: int) -> int:
-    """[x, y] = sum_i x_i [e_i, y], packed, from y's right images w: with x_i put in
-    super-field n - 1 - i, super-field n - 1 of the one product holds exactly that sum."""
-    wide = b * len(x)
-    rx = sum([c << wide * i for i, c in enumerate(reversed(x)) if c])
-    return rx * w >> wide * (len(x) - 1) & (1 << wide) - 1
+def _reversed(x, b: int) -> int:
+    """x with x_i in super-field n - 1 - i, of b n bits: the left factor of _times."""
+    return sum([c << b * len(x) * i for i, c in enumerate(reversed(x)) if c])
+
+
+def _times(rx: int, w: int, b: int, n: int) -> int:
+    """[x, y] = sum_i x_i [e_i, y]: super-field n - 1 of rx = _reversed(x, b) times y's w."""
+    return rx * w >> b * n * (n - 1) & (1 << b * n) - 1
 
 
 def _unpack(w: int, b: int, n: int, p: int) -> list:
@@ -108,31 +110,26 @@ def _leibniz_violation(f: Field, table, left: bool) -> Optional[Tuple[int, int, 
     Over F_p each row table[a][b] is one int of w-bit fields, so a term such as
     [e_i,[e_j,e_k]] = sum_m c_jk^m [e_i,e_m] is one multiply-add per nonzero constant.
     A term's field is at most n(p-1)^2; a per-field offset, a multiple of p covering
-    two terms, keeps the difference's fields from borrowing or carrying, so each is at
-    most top. Fields wide enough for top * magic give every field's quotient by p from one
-    multiply-shift, and the triple holds iff p times the quotients is the difference."""
+    two terms, keeps the difference's fields from borrowing or carrying."""
     if f.p is None:
         return _row_leibniz_violation(f, table, left)
     p, n = f.p, len(table)
     rows = [[f.normalize_row(row) for row in plane] for plane in table]
     term = n * (p - 1) ** 2
     offset = -(-2 * term // p) * p
-    s = (top := offset + 2 * term).bit_length() + p.bit_length()  # 2^s > p top, and so
-    magic = -(-(1 << s) // p)  # x * magic >> s = floor(x / p) for 0 <= x <= top
-    w = max(1, (top * magic).bit_length())  # n = 0 has no fields but needs a step
-    shifts = range(0, w * n, w)
-    packed = [[sum([x << t for x, t in zip(row, shifts)]) for row in plane] for plane in rows]
+    w = max(1, (offset + 2 * term).bit_length())  # n = 0 has no fields but needs a step
+    mask, shifts = (1 << w) - 1, range(0, w * n, w)
+    packed = [[sum([x << s for x, s in zip(row, shifts)]) for row in plane] for plane in rows]
     columns = list(zip(*packed))  # columns[b][a] = packed[a][b]
     nonzero = [[[(m, c) for m, c in enumerate(row) if c] for row in plane] for plane in rows]
-    base = sum([offset << t for t in shifts])
-    quotients = sum([(1 << w - s) - 1 << t for t in shifts])
+    base = sum([offset << s for s in shifts])
     third = packed if left else columns  # [e_j, e_m] or [e_m, e_j]
     for i, j, k in itertools.product(range(n), repeat=3):
         lhs = sum([c * packed[i][m] for m, c in nonzero[j][k]])
         t1 = sum([c * columns[k][m] for m, c in nonzero[i][j]])
         t = sum([c * third[j][m] for m, c in nonzero[i][k]])
         d = lhs - t1 - t if left else lhs - t1 + t
-        if d and (x := d + base) != p * (x * magic >> s & quotients):
+        if d and any((((d + base) >> s) & mask) % p for s in shifts):
             return (i, j, k)
     return None
 
@@ -235,10 +232,12 @@ class LeibnizAlgebra:
         f, n, packed = self.field, self.dim, self._packed
         if packed is None:
             return _span(f, n, (self.bracket(a, b) for a in u.basis for b in v.basis), {})
-        (b, columns, rows), keys = packed, {}
-        images = [_images(columns, z) for z in v.basis if len(keys) < len(rows)
-                  and _insert(f, keys, [sum([a * c for a, c in zip(r, z)]) % f.p for r in rows])]
-        products = (_times(a, w, b) for a in u.basis for w in images)
+        (b, columns, rows), keys, kept = packed, {}, v.basis
+        if len(rows) < n:  # at m = n every row of V is kept
+            kept = [z for z in kept if len(keys) < len(rows)
+                    and _insert(f, keys, [sum([a * c for a, c in zip(r, z)]) % f.p for r in rows])]
+        images = [_images(columns, z) for z in kept]
+        products = (_times(x, w, b, n) for a in u.basis for x in [_reversed(a, b)] for w in images)
         return _span(f, n, (_unpack(w, b, n, f.p) for w in products if w), {})
 
     def subalgebra_closure(self, vectors: Sequence[Vector]) -> Subspace:
@@ -254,8 +253,7 @@ class LeibnizAlgebra:
         """<v> = span{v, v^2, ...} with v^(k+1) = [v^k, v], up to the first power already
         in the span. The squares span an ideal I with [L, I] = 0 (y = z in the right
         identity), so [v^i, v^j] = 0 for j >= 2 and the span of the powers is closed.
-        Each power goes into one echelon; over F_p it is one product by the packed right
-        images [e_i, v] (_times)."""
+        Each power goes into one echelon; over F_p it is one packed product (_times)."""
         f, n, packed = self.field, self.dim, self._packed
         if len(v) != n:
             raise AlgebraError("vector length mismatch")
@@ -265,7 +263,8 @@ class LeibnizAlgebra:
             if packed is None:
                 power = self.bracket(power, x)
             else:
-                power = _unpack(_times(power, right, packed[0]), packed[0], n, f.p)
+                b = packed[0]
+                power = _unpack(_times(_reversed(power, b), right, b, n), b, n, f.p)
         return _span(f, n, (), echelon)
 
     # -- series and solvability -------------------------------------------

@@ -1,4 +1,4 @@
-"""Acceptance suite: ten numbered criteria, one printed verdict line each, and a corollary.
+"""Acceptance suite: ten numbered criteria, one printed verdict line each.
 
 A session fixture precomputes the shared per-algebra analyses (lattice,
 modularity/semimodularity/WQI verdicts) once; the timed criteria then measure
@@ -378,12 +378,3 @@ def test_criterion_10_determinism(tmp_path, capsys):
         "two corpus verify runs with seed %d produce byte-identical JSON (%d bytes)"
         % (SEED, len(reports[0])),
     )
-
-
-def test_all_wqi_implies_modular_on_the_corpus(analyses):
-    # Not a numbered criterion. When all-WQI holds, the join of any two subalgebras is
-    # their sum, so dimension is a valuation on the lattice and the lattice is modular
-    # (Birkhoff, Lattice Theory, 1967, ch. X), for every L; rem-equiv covers solvable L only
-    verdicts = [(an.wqi_all.holds, an.modular.holds) for an in analyses.values()]
-    assert (True, False) not in verdicts
-    assert verdicts.count((True, True)) == 293 and verdicts.count((False, False)) == 12

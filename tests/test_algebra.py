@@ -20,6 +20,7 @@ from leibnizlat import (
 from leibnizlat.algebra import (
     _images,
     _pack_table,
+    _reversed,
     _row_leibniz_violation,
     _times,
     _unpack,
@@ -434,7 +435,7 @@ def test_packed_scan_holds_on_a_dense_f31_algebra():
 
 def test_packed_scan_matches_row_scan_after_one_constant_changes():
     # one structure constant of each corpus tensor moved by a nonzero amount, the tensor read
-    # over F_2 to F_31: the quotient fields are narrowest over F_2 and widest over F_31
+    # over F_2 to F_31: the packed fields are narrowest over F_2 and widest over F_31
     rng = random.Random(27)
     outcomes = collections.Counter()
     for l in catalog.corpus(7):
@@ -456,7 +457,8 @@ def test_packed_product_holds_the_largest_sums(p, n):
     table = [[[p - 1] * n for _ in range(n)] for _ in range(n)]
     b, columns, rows = _pack_table(f, table)
     x = [p - 1] * n
-    assert _unpack(_times(x, _images(columns, x), b), b, n, p) == [n * n * (p - 1) ** 3 % p] * n
+    product = _times(_reversed(x, b), _images(columns, x), b, n)
+    assert _unpack(product, b, n, p) == [n * n * (p - 1) ** 3 % p] * n
     assert len(rows) == 1
 
 

@@ -14,7 +14,7 @@ _SPEC.loader.exec_module(bench_pairs)
 def _run(pair, side, wall, rss, laps, failed=0):
     metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
     return {
-        "workload": "sparse-lattice", "seed": 7, "series": 1, "pair": pair, "side": side,
+        "workload": "sparse-lattice", "seed": 7, "pair": pair, "side": side,
         "first": bench_pairs.order(pair)[0], "laps": laps,
         "final": {"correct": True, "attempted": 40, "failed": failed, "metrics": metrics},
     }
@@ -35,9 +35,8 @@ def test_summary_of_four_pairs():
             wall, rss, laps = sides[side]
             failed = int(side == "change" and k == 3)
             runs.append(_run(k + 1, side, wall, rss, laps, failed))
-    metrics = {"wall_s": ("lower", 0.24), "peak_rss_mb": ("higher", 0.05)}
-    (entry,) = bench_pairs.summarize(runs, metrics)
-    assert entry["pairs"] == 4 and entry["series"] == 1 and entry["seed"] == 7
+    (entry,) = bench_pairs.summarize(runs, {"wall_s": 0.24, "peak_rss_mb": 0.05})
+    assert entry["pairs"] == 4 and entry["seed"] == 7
     assert entry["metrics"]["wall_s"] == {
         "parent_median": 2.5,
         "parent_quartiles": [1.75, 3.25],  # inclusive: the sorted values' linear quartiles
@@ -48,9 +47,9 @@ def test_summary_of_four_pairs():
         "change_wins": "2/4",
         "gap_exceeds_parent_iqr": False,  # 0.25 against 1.5
     }
-    rss = entry["metrics"]["peak_rss_mb"]  # "higher" counts the change's larger values
+    rss = entry["metrics"]["peak_rss_mb"]  # the parent's flat 30.0 has no spread
     assert (rss["parent_median"], rss["change_median"], rss["ratio"]) == (30.0, 31.5, 1.05)
-    assert rss["change_wins"] == "3/4" and rss["gap_exceeds_parent_iqr"] is True
+    assert rss["change_wins"] == "0/4" and rss["gap_exceeds_parent_iqr"] is True
     assert entry["laps"] == {"parent": [100, 101, 102, 103], "change": [87, 88, 89, 90]}
     assert entry["failed_share"] == {"parent": "0/160", "change": "1/160"}
     assert entry["correct"] is True
@@ -59,4 +58,4 @@ def test_summary_of_four_pairs():
 def test_unpaired_runs_are_refused():
     runs = [_run(1, "parent", 1.0, 30.0, 10), _run(2, "change", 1.0, 30.0, 10)]
     with pytest.raises(ValueError, match="unpaired"):
-        bench_pairs.summarize(runs, {"wall_s": ("lower", 0.24)})
+        bench_pairs.summarize(runs, {"wall_s": 0.24})

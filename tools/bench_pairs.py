@@ -3,41 +3,40 @@
 Run from the root of a git checkout, with both commits present:
 
     python3 tools/bench_pairs.py --parent 7fee6bc --change HEAD \\
-        --workload sparse-lattice --workload dense-lattice --pairs 10 \\
-        --setup-probes 10 --out bench.json
+        --workload sparse-lattice --workload dense-lattice --out bench.json
 
 Each side is a fresh ``git archive`` export of its commit's ``src/`` and
 ``perfbench/``, so neither holds a ``__pycache__``, and every child runs with
 ``PYTHONDONTWRITEBYTECODE=1``: a tree with a bytecode cache starts faster, and
-``setup_s`` would read that. Pair k runs the parent first when k is odd and the
-change first when k is even. A run is ``perfbench/run.py --workload W --seed S
---seconds T --trace 0``; its final JSON line and its lap count are kept, since
-``peak_rss_mb`` grows with the laps a run keeps. ``--setup-probes K`` then
-spawns each workload's set-up probe K times per tree, alternating, and records
-the seconds from spawn to "ready", as perfbench's own ``setup_s`` does.
+``setup_s`` would read that. Each workload gets ``PAIRS`` pairs; pair k runs the
+parent first when k is odd and the change first when k is even. A run is
+``perfbench/run.py --workload W --seed S --trace 0`` at perfbench's default run
+length; its final JSON line and its lap count are kept, since ``peak_rss_mb``
+grows with the laps a run keeps. Each run times its own set-up probes, so the
+pairs also give ``PAIRS`` alternating ``setup_s`` readings per tree. The source
+digest and the host are read from the provenance line each run prints.
 
-The summary gives, per workload and end-to-end metric of ``BENCHMARK.json``,
-the medians and inclusive quartiles of each side, the change/parent ratio of
-the medians, the pairs the change won, and whether the gap of the medians
-exceeds the parent's interquartile range.
+The summary gives, per workload and end-to-end metric of ``BENCHMARK.json``
+(all lower-is-better), the medians and inclusive quartiles of each side, the
+change/parent ratio of the medians, the pairs the change won, and whether the
+gap of the medians exceeds the parent's interquartile range.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest pairs a claimed gain is judged on
+RUN_SECONDS = 20  # perfbench/run.py's default --seconds, which every run keeps
 
 
 def order(pair: int) -> tuple:
@@ -45,53 +44,51 @@ def order(pair: int) -> tuple:
     return SIDES if pair % 2 else SIDES[::-1]
 
 
-def quartiles(values, digits: int) -> list:
+def quartiles(values) -> list:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q1, digits), round(q3, digits)]
+    return [round(q1, 6), round(q3, 6)]
 
 
-def compare(parent: list, change: list, better: str, bound: float) -> dict:
-    """One metric over paired runs: parent[k] and change[k] are pair k's values."""
+def compare(parent: list, change: list, bound: float) -> dict:
+    """One lower-is-better metric over paired runs: parent[k] and change[k] are pair k's."""
     pm, cm = statistics.median(parent), statistics.median(change)
-    q1, q3 = quartiles(parent, 6)
-    wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
+    q1, q3 = quartiles(parent)
     return {
         "parent_median": round(pm, 6),
         "parent_quartiles": [q1, q3],
         "change_median": round(cm, 6),
-        "change_quartiles": quartiles(change, 6),
+        "change_quartiles": quartiles(change),
         "ratio": round(cm / pm, 4),
         "bound": bound,
-        "change_wins": "%d/%d" % (wins, len(parent)),
+        "change_wins": "%d/%d" % (sum(c < p for p, c in zip(parent, change)), len(parent)),
         "gap_exceeds_parent_iqr": abs(cm - pm) > q3 - q1,
     }
 
 
-def summarize(runs: list, metrics: dict) -> list:
-    """One entry per (workload, series), in first-run order; ``metrics`` maps each
-    end-to-end metric name to its (better, bound)."""
+def summarize(runs: list, bounds: dict) -> list:
+    """One entry per workload, in first-run order; ``bounds`` maps each end-to-end metric
+    name to its bound."""
     groups = {}
     for run in runs:
-        groups.setdefault((run["workload"], run["series"]), []).append(run)
+        groups.setdefault(run["workload"], []).append(run)
     out = []
-    for (workload, series), group in groups.items():
+    for workload, group in groups.items():
         sides = {
             s: sorted((r for r in group if r["side"] == s), key=lambda r: r["pair"]) for s in SIDES
         }
         if [r["pair"] for r in sides["parent"]] != [r["pair"] for r in sides["change"]]:
-            raise ValueError("%s series %d: unpaired runs" % (workload, series))
+            raise ValueError("%s: unpaired runs" % workload)
         values = {
-            s: {m: [r["final"]["metrics"][m]["value"] for r in sides[s]] for m in metrics}
+            s: {m: [r["final"]["metrics"][m]["value"] for r in sides[s]] for m in bounds}
             for s in SIDES
         }
         out.append({
             "workload": workload,
             "seed": group[0]["seed"],
-            "series": series,
             "pairs": len(sides["parent"]),
             "metrics": {
-                m: compare(values["parent"][m], values["change"][m], better, bound)
-                for m, (better, bound) in metrics.items()
+                m: compare(values["parent"][m], values["change"][m], bound)
+                for m, bound in bounds.items()
             },
             "laps": {s: sorted(r["laps"] for r in sides[s]) for s in SIDES},
             "failed_share": {
@@ -113,62 +110,21 @@ def export(rev: str, dest: Path) -> None:
         raise RuntimeError("git archive %s failed" % rev)
 
 
-def src_sha256(tree: Path) -> str:
-    """sha256 over src/leibnizlat/*.py in name order, name NUL contents, as perfbench's
-    provenance computes it."""
-    digest = hashlib.sha256()
-    for path in sorted((tree / "src" / "leibnizlat").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
-
-
-def _no_bytecode(tree: Path) -> None:
-    if any(tree.rglob("__pycache__")):
-        raise RuntimeError("%s holds a __pycache__" % tree)
-
-
-def bench(tree: Path, workload: str, seed: int, seconds: int, env: dict) -> dict:
+def bench(tree: Path, workload: str, seed: int, env: dict) -> tuple:
+    """(the run's record, its provenance) for one perfbench run in ``tree``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=str(tree), env=env, capture_output=True, text=True,
-                          timeout=10 * seconds + 300)
+                          timeout=10 * RUN_SECONDS + 300)
     if proc.returncode != 0:
         raise RuntimeError("%s in %s exited %d: %s" % (workload, tree, proc.returncode,
                                                         proc.stderr))
-    _no_bytecode(tree)
+    if any(tree.rglob("__pycache__")):
+        raise RuntimeError("%s holds a __pycache__" % tree)
     lines = proc.stdout.splitlines()
+    prov = json.loads(next(s.split(" ", 1)[1] for s in lines if s.startswith("provenance: ")))
     laps = next(int(s.split()[1].rstrip(",")) for s in lines if s.startswith("laps: "))
-    return {"laps": laps, "final": json.loads(lines[-1])}
-
-
-def setup_probe(tree: Path, workload: str, seed: int, env: dict) -> float:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--setup-probe"]
-    start = time.perf_counter()
-    with subprocess.Popen(cmd, cwd=str(tree), env=env, stdout=subprocess.PIPE, text=True) as child:
-        line = child.stdout.readline()
-        ready = time.perf_counter()
-        child.stdout.read()
-        if line.strip() != "ready" or child.wait(timeout=120) != 0:
-            raise RuntimeError("set-up probe of %s in %s failed" % (workload, tree))
-    _no_bytecode(tree)
-    return ready - start
-
-
-def _spread(samples: list) -> dict:
-    return {"median": round(statistics.median(samples), 4),
-            "quartiles": quartiles(samples, 4),
-            "min": round(min(samples), 4)}
-
-
-def _host() -> dict:
-    model = platform.processor() or "unknown"
-    try:
-        with open("/proc/cpuinfo") as fh:
-            model = next(s.split(":", 1)[1].strip() for s in fh if s.startswith("model name"))
-    except (OSError, StopIteration):
-        pass
-    return {"cpu_model": model, "nproc": os.cpu_count(), "python": platform.python_version()}
+    return {"laps": laps, "final": json.loads(lines[-1])}, prov
 
 
 def main(argv=None) -> int:
@@ -177,62 +133,49 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="commit of the changed tree")
     parser.add_argument("--workload", action="append", required=True,
                         help="a perfbench workload; repeat for several, run in the order given")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--setup-probes", type=int, default=0, help="set-up spawns per tree")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.setup_probes == 1:
-        parser.error("quartiles need at least 2 pairs and 2 set-up probes")
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     revs = {s: subprocess.run(["git", "rev-parse", "--short", rev], cwd=str(REPO), check=True,
                               capture_output=True, text=True).stdout.strip()
             for s, rev in zip(SIDES, (args.parent, args.change))}
     doc = {
-        "description": "perfbench --trace 0 --seconds %d --seed %d, alternating parent/change "
-                       "pairs (pair k runs the parent first when k is odd), each tree a fresh "
-                       "git archive export of src/ and perfbench/ with no __pycache__ and "
-                       "PYTHONDONTWRITEBYTECODE=1 (tools/bench_pairs.py)"
-                       % (args.seconds, args.seed),
+        "description": "perfbench --trace 0 --seconds %d --seed %d, %d alternating parent/change "
+                       "pairs per workload (pair k runs the parent first when k is odd), each "
+                       "tree a fresh git archive export of src/ and perfbench/ with no "
+                       "__pycache__ and PYTHONDONTWRITEBYTECODE=1 (tools/bench_pairs.py)"
+                       % (RUN_SECONDS, args.seed, PAIRS),
         "parent": revs["parent"],
         "change": revs["change"],
-        "host": _host(),
+        "host": {},
         "summary": [],
-        "setup_probes": {"how": "perfbench/run.py --setup-probe, %d alternating spawns per "
-                                "tree, seconds from spawn to 'ready'" % args.setup_probes},
-        "src_sha256": {"how": "sha256 over src/leibnizlat/*.py in name order, name NUL "
-                              "contents, as perfbench's provenance computes it"},
+        "src_sha256": {"how": "the src_sha256 of each tree's perfbench provenance line"},
         "runs": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {s: Path(tmp) / s for s in SIDES}
         for s in SIDES:
             export(revs[s], trees[s])
-            doc["src_sha256"][s] = src_sha256(trees[s])
         for workload in args.workload:
-            for pair in range(1, args.pairs + 1):
+            for pair in range(1, PAIRS + 1):
                 for side in order(pair):
-                    result = bench(trees[side], workload, args.seed, args.seconds, env)
+                    result, prov = bench(trees[side], workload, args.seed, env)
+                    if doc["src_sha256"].setdefault(side, prov["src_sha256"]) != prov["src_sha256"]:
+                        raise RuntimeError("the %s tree's source changed between runs" % side)
+                    doc["host"] = {k: prov[k] for k in ("cpu_model", "nproc", "python")}
                     doc["runs"].append(dict(workload=workload, seed=args.seed, pair=pair,
-                                            side=side, first=order(pair)[0], series=1, **result))
+                                            side=side, first=order(pair)[0], **result))
                     print("%s pair %d %s: %d laps, %s" % (
                         workload, pair, side, result["laps"],
                         {m: round(v["value"], 4) for m, v in result["final"]["metrics"].items()}),
                         flush=True)
                 if pair > 1:  # a run cut short keeps every finished pair
-                    doc["summary"] = summarize(doc["runs"], metrics)
+                    doc["summary"] = summarize(doc["runs"], bounds)
                     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-        for workload in args.workload if args.setup_probes else ():
-            samples = {s: [] for s in SIDES}
-            for k in range(1, args.setup_probes + 1):
-                for side in order(k):
-                    samples[side].append(setup_probe(trees[side], workload, args.seed, env))
-            doc["setup_probes"][workload] = {s: _spread(samples[s]) for s in SIDES}
-            args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for entry in doc["summary"]:
         ratios = {m: (v["ratio"], v["change_wins"]) for m, v in entry["metrics"].items()}
         print(entry["workload"], ratios)
