@@ -21,6 +21,7 @@ from .linalg import (
     _insert,
     _span,
     invert_matrix,
+    monic_combinations,
     nullspace,
     unit_vector,
 )
@@ -226,14 +227,15 @@ class LeibnizAlgebra:
     def product_space(self, u: Subspace, v: Subspace) -> Subspace:
         """[U, V]. Over F_p, R_y depends on y only through (r . y) for the packed rows r, so
         the rows z of V with independent (r . z) give every R_y, y in V, as a combination
-        of their R_z, and the dim U * |Z| products [a, z] span [U, V]."""
+        of their R_z, and the dim U * |Z| products [a, z] span [U, V]. Keys are formed only
+        when dim V > m; otherwise Z is all of V's basis."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise AlgebraError("ambient mismatch")
         f, n, packed = self.field, self.dim, self._packed
         if packed is None:
             return _span(f, n, (self.bracket(a, b) for a in u.basis for b in v.basis), {})
         (b, columns, rows), keys, kept = packed, {}, v.basis
-        if len(rows) < n:  # at m = n every row of V is kept
+        if len(rows) < len(kept):
             kept = [z for z in kept if len(keys) < len(rows)
                     and _insert(f, keys, [sum([a * c for a, c in zip(r, z)]) % f.p for r in rows])]
         images = [_images(columns, z) for z in kept]
@@ -248,24 +250,6 @@ class LeibnizAlgebra:
             if bigger.dim == u.dim:
                 return u
             u = bigger
-
-    def cyclic_subalgebra(self, v: Vector) -> Subspace:
-        """<v> = span{v, v^2, ...} with v^(k+1) = [v^k, v], up to the first power already
-        in the span. The squares span an ideal I with [L, I] = 0 (y = z in the right
-        identity), so [v^i, v^j] = 0 for j >= 2 and the span of the powers is closed.
-        Each power goes into one echelon; over F_p it is one packed product (_times)."""
-        f, n, packed = self.field, self.dim, self._packed
-        if len(v) != n:
-            raise AlgebraError("vector length mismatch")
-        power = x = f.normalize_row(v)
-        right, echelon = _images(packed[1], x) if packed else None, {}
-        while _insert(f, echelon, power):
-            if packed is None:
-                power = self.bracket(power, x)
-            else:
-                b = packed[0]
-                power = _unpack(_times(_reversed(power, b), right, b, n), b, n, f.p)
-        return _span(f, n, (), echelon)
 
     # -- series and solvability -------------------------------------------
 
@@ -403,11 +387,7 @@ class LeibnizAlgebra:
         leading positions first. The budget bounds p^n, the size of the space.
         """
         self._check_element_scan(budget)
-        n, elems = self.dim, range(self.field.p)
-        for lead in reversed(range(n)):
-            head = (0,) * lead + (1,)
-            for tail in itertools.product(elems, repeat=n - 1 - lead):
-                yield head + tail
+        yield from monic_combinations(self.field, self.full_subspace().basis)
 
     def is_supersolvable(self, budget: int = 10 ** 6) -> bool:
         """Complete flag of ideals. For a 1-dim ideal I, L is supersolvable iff L/I is

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from typing import Dict, List, Optional
 
-from .linalg import BudgetExceeded, Subspace, enumerate_subspaces
+from .linalg import BudgetExceeded, Subspace, enumerate_subspaces, monic_combinations
 from .algebra import LeibnizAlgebra, StructureReport, UnsupportedFieldError
 
 DEFAULT_NODE_BUDGET = 5000
@@ -100,13 +100,18 @@ class SubalgebraLattice:
 
     def cyclic_of_lines(self) -> List[int]:
         """For each monic line v, in ``monic_lines()`` order, the node index of <v>, built on
-        first use; (v,) is the RREF key of the line Fv, which is its own closure if a node."""
+        first use. Every node holding v holds <v>, and nodes come sorted by dimension, so <v>
+        is the first node holding v. One pass over the nodes' monic lines gives each line its
+        first node; it stops once every line has one."""
         if self._cyclic_of_lines is None:
-            l, index = self.algebra, self._index
-            self._cyclic_of_lines = [
-                index[(v,)] if (v,) in index else self.index_of(l.cyclic_subalgebra(v))
-                for v in l.monic_lines()
-            ]
+            l, first = self.algebra, {}
+            lines = list(l.monic_lines())
+            for i, node in enumerate(self.nodes):
+                if len(first) == len(lines):
+                    break
+                for v in monic_combinations(l.field, node.basis):
+                    first.setdefault(v, i)
+            self._cyclic_of_lines = [first[v] for v in lines]
         return self._cyclic_of_lines
 
 

@@ -270,22 +270,13 @@ class Subspace:
         return _span(self.field, self.ambient_dim, other.basis, dict(zip(self.pivots, self.basis)))
 
     def intersection(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: in the RREF of the rows (u | u) and (v | 0), the rows whose left half is
+        0 hold U ^ V in their right halves, already in RREF."""
         self._check_ambient(other)
         f, n = self.field, self.ambient_dim
-        ka, kb = self.dim, other.dim
-        if ka == 0 or kb == 0:
-            return Subspace.zero(f, n)
-        if self.leq(other):
-            return self
-        if other.leq(self):
-            return other
-        # Columns are the basis vectors of self and -other; a nullspace vector
-        # (a | b) encodes an element sum(a_i u_i) = sum(b_j v_j) of the intersection.
-        minus_one = f.neg(f.one())
-        negated = [f.scale_row(minus_one, row) for row in other.basis]
-        rows = [a + b for a, b in zip(zip(*self.basis), zip(*negated))]
-        vectors = [self.combination(coeffs[:ka]) for coeffs in nullspace(f, rows)]
-        return Subspace.span(f, n, vectors)
+        rows = [[*u, *u] for u in self.basis] + [[*v] + [f.zero()] * n for v in other.basis]
+        both = _span(f, 2 * n, rows, {}).basis
+        return Subspace(f, n, tuple(row[n:] for row in both if not any(row[:n])))
 
     def vectors(self) -> Iterator[Vector]:
         """All elements of the subspace (prime fields only)."""
@@ -369,6 +360,24 @@ def _shape_subspaces(f: Field, n: int, pivots: tuple) -> Iterator[Subspace]:
         for (r, c), x in zip(free, values):
             rows[r][c] = x
         yield Subspace(f, n, tuple(map(tuple, rows)))
+
+
+def monic_combinations(f: Field, rows: Matrix) -> Iterator[Vector]:
+    """One vector per line of the span of RREF rows over F_p: the combinations whose first
+    nonzero coefficient is 1. They are monic, as the rows have leading ones at increasing
+    pivots. Later leading rows come first, then the other coefficients in lexicographic order."""
+    for k in reversed(range(len(rows))):
+        yield from _combinations(f.p, rows[k], rows[k + 1:])
+
+
+def _combinations(p: int, v, rows) -> Iterator[Vector]:
+    """v + c_1 rows[0] + c_2 rows[1] + ... over the coefficients in lexicographic order."""
+    if not rows:
+        yield tuple(v)
+        return
+    for c in range(p):
+        w = [(x + c * y) % p for x, y in zip(v, rows[0])] if c else v
+        yield from _combinations(p, w, rows[1:])
 
 
 def matrix_rank(f: Field, rows: Sequence[Sequence[Scalar]]) -> int:

@@ -16,6 +16,7 @@ from leibnizlat import (
     UnsupportedFieldError,
     catalog,
     check_left_leibniz,
+    enumerate_subalgebras,
 )
 from leibnizlat.algebra import (
     _images,
@@ -475,8 +476,8 @@ def test_right_annihilator_census():
 
 
 def _cyclic_power_oracle(l, v):
-    """<v> by the power loop with one Subspace.span per power: the oracle the echelon
-    closure is tested against, on the packed table over F_p and by brackets over Q."""
+    """<v> by the power loop with one Subspace.span per power: the oracle that
+    subalgebra_closure([v]) and the lattice's line map are tested against."""
     u, power = Subspace.span(l.field, l.dim, [v]), v
     while True:
         power = l.bracket(power, v)
@@ -485,37 +486,46 @@ def _cyclic_power_oracle(l, v):
         u = Subspace.span(l.field, l.dim, u.basis + (power,))
 
 
-
 def test_cyclic_subalgebra_is_the_closure_of_one_vector():
-    # on all 4,379 monic lines of the seed-7 corpus the F_p closure also equals the power loop
+    # subalgebra_closure([v]) equals the power loop on all 4,379 monic lines of the seed-7
+    # corpus, and over Q on random vectors, with the same scalar types in the RREF
     lines = 0
     for l in catalog.corpus(7):
         for v in l.monic_lines():
-            u = l.cyclic_subalgebra(v)
-            assert u == l.subalgebra_closure([v]) == _cyclic_power_oracle(l, v), (l.name, v)
+            assert l.subalgebra_closure([v]) == _cyclic_power_oracle(l, v), (l.name, v)
             lines += 1
     assert lines == 4379
-    q = Field.rational()
-    for l in (catalog.cyclic_solvable(4, q), catalog.cyclic_nilpotent(4, q)):
-        for v in ((0, 0, 0, 0), (1, 0, 0, 0), (Fraction(1, 2), -2, 3, 0), (0, 1, 1, 1)):
-            assert l.cyclic_subalgebra(v) == l.subalgebra_closure([v]) == _cyclic_power_oracle(l, v)
+    q, rng = Field.rational(), random.Random(7)
+    entries = [Fraction(k, d) for k in range(-2, 3) for d in (1, 2)]
+    base = (1, 1, 0, 0), (0, 1, 1, 0), (Fraction(1, 2), 0, 1, 1), (0, 0, 0, 1)
+    algebras = [catalog.heisenberg_lie(q)]
+    for make in (catalog.cyclic_solvable, catalog.cyclic_nilpotent, catalog.almost_abelian_nonlie):
+        algebras += [make(4, q), make(4, q).change_of_basis(base)]
+    dims = set()
+    for l in algebras:
+        vectors = [tuple(rng.choice(entries) for _ in range(l.dim)) for _ in range(25)]
+        vectors += [l.basis_vector(i) for i in range(l.dim)] + [(0,) * l.dim]
+        if l.dim == 4:
+            vectors += [(Fraction(1, 2), -2, 3, 0), (0, 1, 1, 1)]
+        for v in vectors:
+            u = l.subalgebra_closure([v])
+            assert repr(u.basis) == repr(_cyclic_power_oracle(l, v).basis), (l.name, v)
+            dims.add(u.dim)
+    assert dims == {0, 1, 2, 3, 4}
 
 
 def test_cyclic_subalgebra_matches_the_power_loop():
-    # every vector of a dense F_31 basis change of cyclic_solvable(3), vectors with entries
-    # outside [0, p), a vector of the wrong length, and the algebra L = 0
+    # the lattice's line map on a dense F_31 basis change of cyclic_solvable(3): every line's
+    # node is the span of its powers; the algebra L = 0 has no line
     rng = random.Random(31)
     l = catalog.cyclic_solvable(3, F31).change_of_basis(catalog.random_invertible(F31, 3, rng))
+    lat = enumerate_subalgebras(l)
     dims = collections.Counter()
-    for v in l.all_vectors():
-        u = l.cyclic_subalgebra(v)
-        assert u == _cyclic_power_oracle(l, v), v
-        dims[u.dim] += 1
-    assert dims == {0: 1, 1: 960, 2: 930, 3: 27900}  # the nonzero vectors of L^2 square to 0
-    l = catalog.cyclic_nilpotent(4, F5)
-    assert l.cyclic_subalgebra((6, -1, 7, 5)) == _cyclic_power_oracle(l, (1, 4, 2, 0))
-    with pytest.raises(AlgebraError):
-        l.cyclic_subalgebra((1, 0, 0))
+    for v, i in zip(l.monic_lines(), lat.cyclic_of_lines()):
+        assert lat.nodes[i] == _cyclic_power_oracle(l, v), v
+        dims[lat.nodes[i].dim] += 1
+    assert dims == {1: 32, 2: 31, 3: 930}  # the lines of L^2 square to 0
     zero = LeibnizAlgebra("zero/F3", F3, 0, ())  # no fields to read
     full = zero.full_subspace()
-    assert zero.cyclic_subalgebra(()) == zero.product_space(full, full) == Subspace.zero(F3, 0)
+    assert enumerate_subalgebras(zero).cyclic_of_lines() == []
+    assert zero.product_space(full, full) == Subspace.zero(F3, 0)

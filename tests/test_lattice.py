@@ -231,21 +231,23 @@ def test_all_wqi_needs_cyclic_subalgebras_beyond_lines():
 
 def test_line_map_matches_the_general_closure(base_lattices):
     # <v> off the lattice's line map equals subalgebra_closure([v]), a route independent of
-    # the map's node lookup and powers of v; lem-qi's two sides share the map, so this check
-    # stands in for their independence
-    cases = list(base_lattices)
-    for family, params, p in _WORKLOAD_ALGEBRAS:
-        l = catalog.FAMILIES[family][0](*params, Field.prime(p))
-        cases.append((l, enumerate_subalgebras(l)))
-    lines = 0
-    for l, lat in cases:
-        monic = list(l.monic_lines())
-        cyclic = lat.cyclic_of_lines()
-        assert len(cyclic) == len(monic), l.name
-        for v, i in zip(monic, cyclic):
-            assert lat.nodes[i] == l.subalgebra_closure([v]), (l.name, v)
-        lines += len(monic)
-    assert lines == 2327
+    # the node order the map reads; lem-qi's two sides share the map, so this check stands
+    # in for their independence. On the base members and the ten workload algebras, and on
+    # every line of the seed-7 corpus (the base members and their basis-changed copies)
+    copies = [l for l in catalog.corpus(7) if "@basis" in l.name]
+    workloads = [(l, enumerate_subalgebras(l)) for l in _workload_algebras()]
+    lines = collections.Counter()
+    for cases, key in ((base_lattices, "base"), (workloads, "workload"),
+                       ([(l, enumerate_subalgebras(l)) for l in copies], "copies")):
+        for l, lat in cases:
+            monic = list(l.monic_lines())
+            cyclic = lat.cyclic_of_lines()
+            assert len(cyclic) == len(monic), l.name
+            for v, i in zip(monic, cyclic):
+                assert lat.nodes[i] == l.subalgebra_closure([v]), (l.name, v)
+            lines[key] += len(monic)
+    assert lines["base"] + lines["workload"] == 2327
+    assert lines["base"] + lines["copies"] == 4379
 
 
 def _partition_lattice(m):
@@ -425,7 +427,8 @@ def test_packed_rows_cut_out_the_right_annihilator(base_lattices):
 
 def test_product_space_forms_one_product_per_row_of_u_and_kept_row_of_v(monkeypatch):
     # cyclic_nilpotent(4) has m = 1, so [S, S] takes dim S packed products, or none when
-    # S lies in K_R; the abelian algebra has m = 0 and takes none
+    # S of dim >= 2 lies in K_R; a line forms no key and takes its one product even inside
+    # K_R. The abelian algebra has m = 0 and takes none
     counts = collections.Counter()
 
     def spy(*args, _original=algebra_module._times):
@@ -440,7 +443,7 @@ def test_product_space_forms_one_product_per_row_of_u_and_kept_row_of_v(monkeypa
     for s in enumerate_subspaces(F7, 4):
         counts.clear()
         l.product_space(s, s)
-        assert counts["products"] == (0 if s.leq(kernel) else s.dim), s
+        assert counts["products"] == (0 if s.dim != 1 and s.leq(kernel) else s.dim), s
     abelian = catalog.abelian(3, F7)
     counts.clear()
     for s in enumerate_subspaces(F7, 3):
@@ -464,21 +467,27 @@ def test_all_wqi_implies_modular():
 
 
 def test_filter_and_line_map_call_no_rref_or_bracket(monkeypatch):
-    # over F_p the subalgebra filter and the closures of the lines that are not nodes build
-    # their spans from the packed table: no linalg.rref and no LeibnizAlgebra.bracket call
+    # over F_p the subalgebra filter builds its spans from the packed table: no linalg.rref
+    # and no LeibnizAlgebra.bracket call. The line map reads each line's node off the node
+    # order, so it makes none of those, no product_space and no closure either
     cases = [catalog.FAMILIES[f][0](*ps, Field.prime(p)) for f, ps, p in _WORKLOAD_ALGEBRAS[5:8]]
     cases.append(cases[0].change_of_basis(((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))))
     calls = {}
-    for owner, name in ((linalg, "rref"), (LeibnizAlgebra, "bracket")):
-        def spy(*args, _name=name, _original=getattr(owner, name)):
-            calls[_name] = calls.get(_name, 0) + 1
+
+    def watch(owner, name):
+        def spy(*args, _original=getattr(owner, name)):
+            calls[name] = calls.get(name, 0) + 1
             return _original(*args)
 
         monkeypatch.setattr(owner, name, spy)
-    closed = 0
-    for l in cases:
-        lat = enumerate_subalgebras(l)
-        closed += sum(lat.nodes[i].dim > 1 for i in lat.cyclic_of_lines())
+
+    watch(linalg, "rref")
+    watch(LeibnizAlgebra, "bracket")
+    lattices = [enumerate_subalgebras(l) for l in cases]
+    assert calls == {}
+    watch(LeibnizAlgebra, "product_space")
+    watch(LeibnizAlgebra, "subalgebra_closure")
+    closed = sum(lat.nodes[i].dim > 1 for lat in lattices for i in lat.cyclic_of_lines())
     assert closed > 0 and calls == {}
     assert Subspace.span(F2, 1, [(1,)]).dim == 1 and calls == {"rref": 1}  # the spies are live
 
@@ -789,9 +798,9 @@ def test_wqi_elementwise_witness_on_failing_algebras(field):
 
 def test_lattice_scans_make_no_per_scalar_field_calls(monkeypatch):
     # Rows are reduced by Field's row methods; a per-scalar loop creeping back
-    # into the subspace filter, the order build, the element scan, the F_p
-    # product_space and cyclic_subalgebra, lem-cyclic's scaled candidates or
-    # the F_p identity scans shows here.
+    # into the subspace filter, the order build, the line map, the element scan,
+    # the F_p product_space, lem-cyclic's scaled candidates or the F_p identity
+    # scans shows here.
     l = catalog.cyclic_solvable(3, F3)
     dense = l.change_of_basis(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     analysis = AlgebraAnalysis(l)
@@ -805,8 +814,7 @@ def test_lattice_scans_make_no_per_scalar_field_calls(monkeypatch):
     wqi_elementwise(l, enumerate_subalgebras(l))
     for s in enumerate_subspaces(F3, 3):
         dense.product_space(s, dense.full_subspace())
-    for v in dense.monic_lines():
-        dense.cyclic_subalgebra(v)
+    enumerate_subalgebras(dense).cyclic_of_lines()
     assert analysis.cyclic_canonical_form() == "solvable"
     assert right_leibniz_violation(F3, dense.table) is None
     assert left_leibniz_violation(F3, dense.table) is not None

@@ -141,8 +141,8 @@ def test_every_dataclass_field_is_read():
 
 
 def test_no_one_vector_subalgebra_closure():
-    """<v> comes from ``cyclic_subalgebra``, the span of the powers of v, not from
-    the general closure of a one-vector list."""
+    """<v> is read off the lattice's line map, not built by the general closure of a
+    one-vector list."""
     calls = [
         "%s:%d" % (path.name, node.lineno)
         for path in MODULES
@@ -158,16 +158,15 @@ def test_no_one_vector_subalgebra_closure():
 
 
 _LATTICE_READERS = {
-    "verify.py": ("subalgebra_closure", "cyclic_subalgebra", "square_zero_lines",
-                  "square_zero_subalgebra"),
+    "verify.py": ("subalgebra_closure", "square_zero_lines", "square_zero_subalgebra"),
     "lattice.py": ("subalgebra_closure", "square_zero_lines", "square_zero_subalgebra"),
 }
 
 
 def test_the_checks_read_subalgebras_off_the_lattice():
     """J is the join of the atoms and a generator's cyclic node is the top, so the
-    check layer closes nothing; lattice.py closes each line once, in the lattice's
-    line map, which the all-WQI and element scans read."""
+    check layer closes nothing; lattice.py reads each line's node off the node order,
+    in the lattice's line map, which the all-WQI and element scans read."""
     calls = [
         "%s:%d %s" % (name, node.lineno, node.func.attr)
         for name, banned in _LATTICE_READERS.items()
@@ -179,18 +178,25 @@ def test_the_checks_read_subalgebras_off_the_lattice():
     assert calls == [], "subalgebras built beside the lattice: %s" % ", ".join(calls)
 
 
-def test_cyclic_subalgebra_has_one_caller():
-    """<v> is closed at one place, the lattice's line map; every other reader takes it
-    from there."""
+def test_line_map_closes_nothing():
+    """<v> is the first node holding v, so the algebra has no closure of one vector beside
+    subalgebra_closure, and the lattice's line map forms no closure, product or bracket."""
+    tree = ast.parse((SRC / "algebra.py").read_text(), filename="algebra.py")
+    algebra = next(n for n in tree.body
+                   if isinstance(n, ast.ClassDef) and n.name == "LeibnizAlgebra")
+    methods = {n.name for n in algebra.body if isinstance(n, ast.FunctionDef)}
+    assert "subalgebra_closure" in methods and "cyclic_subalgebra" not in methods
+    tree = ast.parse((SRC / "lattice.py").read_text(), filename="lattice.py")
+    line_map = next(n for n in ast.walk(tree)
+                    if isinstance(n, ast.FunctionDef) and n.name == "cyclic_of_lines")
     calls = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in MODULES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        "lattice.py:%d %s" % (node.lineno, node.func.attr)
+        for node in ast.walk(line_map)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "cyclic_subalgebra"
+        and node.func.attr in ("subalgebra_closure", "product_space", "bracket")
     ]
-    assert len(calls) == 1, "cyclic_subalgebra calls: %s" % ", ".join(calls)
+    assert calls == [], "the line map builds subalgebras: %s" % ", ".join(calls)
 
 
 @pytest.mark.parametrize(
@@ -225,14 +231,13 @@ def test_no_attribute_is_added_to_a_built_lattice(make):
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_no_attribute_is_added_to_an_algebra(p):
     """The packed structure table is set at construction, so the F_p kernels that read it
-    (product_space, cyclic_subalgebra and the element scan) add no attribute."""
+    (product_space and the element scan) add no attribute."""
     f = Field.prime(p)
     l = catalog.cyclic_solvable(3, f).change_of_basis(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     keys = set(vars(l))
     assert "_packed" in keys
     full = l.full_subspace()
     l.product_space(full, full)
-    l.cyclic_subalgebra((1, 0, 0))
     lattice.wqi_elementwise(l, lattice.enumerate_subalgebras(l))
     assert set(vars(l)) == keys
 
@@ -258,7 +263,7 @@ def _inverse_scalings(tree):
 
 def test_one_elimination_routine():
     """Every RREF in the package (rref, Subspace.span and sum, nullspace, invert_matrix, the
-    spans of product_space and cyclic_subalgebra) is built by ``linalg._insert``; a second
+    span of product_space) is built by ``linalg._insert``; a second
     elimination loop would scale its pivot rows by an inverse too."""
     found = [
         "%s:%s" % (path.name, name)
