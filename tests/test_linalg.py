@@ -451,3 +451,33 @@ def test_sum_is_the_span_on_random_pairs():
             u, v = ([[rng.choice(scalars) for _ in range(n)] for _ in range(rng.randrange(n + 1))]
                     for _ in range(2))
             _assert_sum_is_the_span(Subspace.span(f, n, u), Subspace.span(f, n, v))
+
+
+def _power_span_oracle(l, v):
+    """<v> as the span of v, v^2, ..., v^(n+1), each power a bracket: the powers past the
+    first one already in the span add nothing, since right multiplication by v is linear."""
+    powers = [tuple(v)]
+    for _ in range(l.dim):
+        powers.append(l.bracket(powers[-1], v))
+    return Subspace.span(l.field, l.dim, powers)
+
+
+def test_cyclic_subalgebra_over_q_matches_the_power_span():
+    # the subalgebra generated by one vector, subalgebra_closure([v]), over Q
+    rng = random.Random(7)
+    entries = [Fraction(k, d) for k in range(-2, 3) for d in (1, 2)]
+    base = (1, 1, 0, 0), (0, 1, 1, 0), (Fraction(1, 2), 0, 1, 1), (0, 0, 0, 1)
+    algebras = []
+    for make in (catalog.cyclic_solvable, catalog.cyclic_nilpotent, catalog.almost_abelian_nonlie):
+        l = make(4, Q)
+        algebras += [l, l.change_of_basis(base)]
+    algebras.append(catalog.heisenberg_lie(Q))
+    dims = set()
+    for l in algebras:
+        vectors = [tuple(rng.choice(entries) for _ in range(l.dim)) for _ in range(25)]
+        vectors += [tuple(l.basis_vector(i)) for i in range(l.dim)] + [(0,) * l.dim]
+        for v in vectors:
+            u = l.subalgebra_closure([v])
+            assert repr(u.basis) == repr(_power_span_oracle(l, v).basis), (l.name, v)
+            dims.add(u.dim)
+    assert dims == {0, 1, 2, 3, 4}
