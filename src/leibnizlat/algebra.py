@@ -105,32 +105,29 @@ def _vector_bracket(f: Field, table, x: Vector, y: Vector) -> Vector:
 
 
 def _leibniz_violation(f: Field, table, left: bool) -> Optional[Tuple[int, int, int]]:
-    """First basis triple (i,j,k) with [e_i,[e_j,e_k]] != [[e_i,e_j],e_k] + t, where
-    t = [e_j,[e_i,e_k]] (left identity) or t = [[e_i,e_k],-e_j] (right identity).
+    """First basis triple (i,j,k) with [e_i,[e_j,e_k]] != [[e_i,e_j],e_k] + t (left identity,
+    t = [e_j,[e_i,e_k]]) or [e_i,[e_j,e_k]] + t != [[e_i,e_j],e_k] (right, t = [[e_i,e_k],e_j]).
 
     Over F_p each row table[a][b] is one int of w-bit fields, so a term such as
     [e_i,[e_j,e_k]] = sum_m c_jk^m [e_i,e_m] is one multiply-add per nonzero constant.
-    A term's field is at most n(p-1)^2; a per-field offset, a multiple of p covering
-    two terms, keeps the difference's fields from borrowing or carrying."""
+    A term's field is at most n(p-1)^2, so the fields of each side, a sum of at most two
+    terms, never carry, and a triple holds iff the sides agree mod p field by field."""
     if f.p is None:
         return _row_leibniz_violation(f, table, left)
     p, n = f.p, len(table)
     rows = [[f.normalize_row(row) for row in plane] for plane in table]
-    term = n * (p - 1) ** 2
-    offset = -(-2 * term // p) * p
-    w = max(1, (offset + 2 * term).bit_length())  # n = 0 has no fields but needs a step
+    w = max(1, (2 * n * (p - 1) ** 2).bit_length())  # n = 0 has no fields but needs a step
     mask, shifts = (1 << w) - 1, range(0, w * n, w)
     packed = [[sum([x << s for x, s in zip(row, shifts)]) for row in plane] for plane in rows]
     columns = list(zip(*packed))  # columns[b][a] = packed[a][b]
     nonzero = [[[(m, c) for m, c in enumerate(row) if c] for row in plane] for plane in rows]
-    base = sum([offset << s for s in shifts])
     third = packed if left else columns  # [e_j, e_m] or [e_m, e_j]
     for i, j, k in itertools.product(range(n), repeat=3):
         lhs = sum([c * packed[i][m] for m, c in nonzero[j][k]])
         t1 = sum([c * columns[k][m] for m, c in nonzero[i][j]])
         t = sum([c * third[j][m] for m, c in nonzero[i][k]])
-        d = lhs - t1 - t if left else lhs - t1 + t
-        if d and any((((d + base) >> s) & mask) % p for s in shifts):
+        a, b = (lhs, t1 + t) if left else (lhs + t, t1)
+        if a != b and any((a >> s & mask) % p != (b >> s & mask) % p for s in shifts):
             return (i, j, k)
     return None
 

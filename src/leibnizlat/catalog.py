@@ -21,17 +21,13 @@ def _empty_table(f: Field, n: int):
     return [[[z] * n for _ in range(n)] for _ in range(n)]
 
 
-def _freeze(table):
-    return tuple(tuple(tuple(row) for row in plane) for plane in table)
-
-
 def _build(name: str, f: Field, n: int, entries, family: str) -> LeibnizAlgebra:
     if n > MAX_DIM:
         raise AlgebraError("dimension %d is above the limit %d" % (n, MAX_DIM))
     table = _empty_table(f, n)
     for i, j, k, v in entries:
-        table[i][j][k] = f.normalize(v)
-    return LeibnizAlgebra(name=name, field=f, dim=n, table=_freeze(table), family=family)
+        table[i][j][k] = v
+    return LeibnizAlgebra(name=name, field=f, dim=n, table=table, family=family)
 
 
 def _field_tag(f: Field) -> str:

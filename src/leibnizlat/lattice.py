@@ -44,23 +44,34 @@ class LatticeError(ValueError):
 @dataclass
 class SubalgebraLattice:
     algebra: LeibnizAlgebra
-    nodes: List[Subspace]          # sorted by (dim, RREF key); nodes[0] = 0, nodes[-1] = L
+    nodes: List[Subspace]          # a linear extension of the order; nodes[0] = 0, nodes[-1] = L
     upset: List[int]               # bit j of upset[i] set iff nodes[i] <= nodes[j]
-    downset: List[int]
-    covers_up: List[int]           # bit j of covers_up[i] set iff nodes[i] is covered by nodes[j]
 
     # Derived once, as plain attributes set here: a cached_property or any later attribute
     # writes through __dict__, which on CPython slows every later attribute read in the scans.
     _index: Dict[tuple, int] = dc_field(init=False)
+    downset: List[int] = dc_field(init=False)  # bit i of downset[j] set iff nodes[i] <= nodes[j]
+    covers_up: List[int] = dc_field(init=False)  # bit j of covers_up[i] set iff j covers i
     covers_down: List[int] = dc_field(init=False)  # covers_up transposed
     _cyclic_of_lines: Optional[List[int]] = dc_field(init=False, compare=False)
 
     def __post_init__(self):
+        """Nodes come in a linear extension, so the lowest node left in a strict upset is
+        minimal in it, an upper cover; clearing its upset leaves the nodes not above it. A
+        downset is the node with the downsets of its lower covers, which come earlier, so
+        each downset is whole when the loop passes it on to the node's upper covers."""
+        n, upset = len(self.nodes), self.upset
         self._index = {s.basis: i for i, s in enumerate(self.nodes)}
-        self.covers_down = [0] * len(self.nodes)
-        for i, up in enumerate(self.covers_up):
-            for j in _bits(up):
+        self.covers_up, self.covers_down = [0] * n, [0] * n
+        self.downset = downset = [1 << i for i in range(n)]
+        for i, up in enumerate(upset):
+            rest = up ^ 1 << i
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                self.covers_up[i] |= 1 << j
                 self.covers_down[j] |= 1 << i
+                downset[j] |= downset[i]
+                rest &= ~upset[j]
         self._cyclic_of_lines = None
 
     def __len__(self):
@@ -131,18 +142,11 @@ def enumerate_subalgebras(
     n = len(nodes)
     dims = [s.dim for s in nodes]
     upset = [1 << i for i in range(n)]
-    downset = upset[:]
     for i in range(n):
         for j in range(bisect_right(dims, dims[i]), n):
             if nodes[i].leq(nodes[j]):
                 upset[i] |= 1 << j
-                downset[j] |= 1 << i
-    covers_up = [0] * n
-    for i in range(n):
-        for j in _bits(upset[i]):
-            if j != i and (upset[i] & downset[j]).bit_count() == 2:
-                covers_up[i] |= 1 << j
-    return SubalgebraLattice(l, nodes, upset, downset, covers_up)
+    return SubalgebraLattice(l, nodes, upset)
 
 
 # -- lattice conditions ----------------------------------------------------

@@ -69,9 +69,8 @@ def parse_spec(text: str) -> LeibnizAlgebra:
                 % (pos, i, j, k, seen[i, j, k])
             )
         seen[i, j, k] = pos
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
     try:
-        return LeibnizAlgebra(name=name, field=f, dim=dim, table=frozen)
+        return LeibnizAlgebra(name=name, field=f, dim=dim, table=table)
     except AlgebraError as exc:
         raise SpecError(str(exc)) from None
 

@@ -270,13 +270,8 @@ def _partition_lattice(m):
     k = len(parts)
     leq = [[all(any(b <= c for c in q) for b in p) for q in parts] for p in parts]
     upset = [sum(1 << j for j in range(k) if leq[i][j]) for i in range(k)]
-    downset = [sum(1 << i for i in range(k) if leq[i][j]) for j in range(k)]
-    covers_up = [
-        sum(1 << j for j in range(k) if j != i and leq[i][j] and bin(upset[i] & downset[j]).count("1") == 2)
-        for i in range(k)
-    ]
     nodes = [Subspace(F2, k, (tuple(int(c == i) for c in range(k)),)) for i in range(k)]
-    return SubalgebraLattice(None, nodes, upset, downset, covers_up)
+    return SubalgebraLattice(None, nodes, upset)
 
 
 def test_modular_needs_lower_semimodularity():
@@ -529,21 +524,24 @@ def test_node_order_and_bounds():
 
 
 def _order_oracle(nodes):
-    """Containment by Subspace.leq on every ordered node pair, with no dimension test;
-    j covers i iff the interval [i, j] holds exactly the two nodes i != j."""
+    """Containment by Subspace.leq on every ordered node pair, with no dimension test,
+    and the downsets and covers of _covers_oracle."""
     n = len(nodes)
-    upset, downset = [0] * n, [0] * n
-    for i in range(n):
-        for j in range(n):
-            if nodes[i].leq(nodes[j]):
-                upset[i] |= 1 << j
-                downset[j] |= 1 << i
+    upset = [sum(1 << j for j in range(n) if nodes[i].leq(nodes[j])) for i in range(n)]
+    return (upset,) + _covers_oracle(upset)
+
+
+def _covers_oracle(upset):
+    """Downsets by transposing the upsets; j covers i iff the interval [i, j] holds
+    exactly the two nodes i != j."""
+    n = len(upset)
+    downset = [sum(1 << i for i in range(n) if upset[i] >> j & 1) for j in range(n)]
     covers_up = [0] * n
     for i in range(n):
         for j in range(n):
             if i != j and upset[i] & downset[j] == 1 << i | 1 << j:
                 covers_up[i] |= 1 << j
-    return upset, downset, covers_up
+    return downset, covers_up
 
 
 def test_order_matches_all_pairs_oracle(base_lattices):
@@ -925,14 +923,13 @@ def _frattini_intersection_oracle(l, lat):
 def _pentagon():
     """N_5: 0 < a < b < 1 and 0 < c < 1, a lattice whose maximal chains differ in length."""
     upset = [0b11111, 0b10110, 0b10100, 0b11000, 0b10000]  # nodes 0, a, b, c, 1
-    downset = [sum(1 << i for i in range(5) if upset[i] >> j & 1) for j in range(5)]
-    covers_up = [0b01010, 0b00100, 0b10000, 0b10000, 0]
     nodes = [Subspace(F2, 5, (tuple(int(c == i) for c in range(5)),)) for i in range(5)]
-    return SubalgebraLattice(None, nodes, upset, downset, covers_up)
+    return SubalgebraLattice(None, nodes, upset)
 
 
 def test_lower_covers_coatoms_heights_and_frattini_match_scans(base_lattices):
-    # on the 86 base members, the workload algebras, L = 0, Pi_4, Pi_5 and N_5
+    # on the 86 base members, the workload algebras, L = 0, Pi_4, Pi_5 and N_5; the
+    # partition lattices and N_5 have no algebra, so only here are their covers checked
     cases = list(base_lattices)
     for family, params, p in _WORKLOAD_ALGEBRAS:
         l = catalog.FAMILIES[family][0](*params, Field.prime(p))
@@ -943,8 +940,10 @@ def test_lower_covers_coatoms_heights_and_frattini_match_scans(base_lattices):
     lattices.append(_pentagon())
     assert len(lattices) == 100
     assert lattice_stats(lattices[-1])["height"] == 3 and lattices[-1].coatoms() == [2, 3]
+    assert lattices[-1].covers_up == [0b01010, 0b00100, 0b10000, 0b10000, 0]
     for lat in lattices:
         n = len(lat)
+        assert (lat.downset, lat.covers_up) == _covers_oracle(lat.upset)
         transpose = [sum(1 << i for i in range(n) if lat.covered_by(i, j)) for j in range(n)]
         assert lat.covers_down == transpose
         coatoms = _coatoms_oracle(lat)
