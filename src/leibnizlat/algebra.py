@@ -288,8 +288,6 @@ class LeibnizAlgebra:
 
     def center(self) -> Subspace:
         f, n = self.field, self.dim
-        if n == 0:
-            return self.zero_subspace()
         rows = []
         for i in range(n):
             for k in range(n):

@@ -22,6 +22,8 @@ def _empty_table(f: Field, n: int):
 
 
 def _build(name: str, f: Field, n: int, entries, family: str) -> LeibnizAlgebra:
+    """The algebra whose table holds the (i, j, k, value) entries. Families pass them as
+    lazy iterables, so an oversized n is refused before any entry is made."""
     if n > MAX_DIM:
         raise AlgebraError("dimension %d is above the limit %d" % (n, MAX_DIM))
     table = _empty_table(f, n)
@@ -44,7 +46,7 @@ def cyclic_nilpotent(n: int, f: Field) -> LeibnizAlgebra:
     """Basis a^1..a^n with [a^i, a] = a^(i+1); nilpotent of class n."""
     if n < 1:
         raise AlgebraError("cyclic algebras need n >= 1")
-    entries = [(i, 0, i + 1, 1) for i in range(n - 1)]
+    entries = ((i, 0, i + 1, 1) for i in range(n - 1))
     return _build(
         "cyclic_nilpotent(%d)/%s" % (n, _field_tag(f)), f, n, entries, "cyclic_nilpotent"
     )
@@ -57,8 +59,7 @@ def cyclic_solvable(n: int, f: Field) -> LeibnizAlgebra:
     """
     if n < 2:
         raise AlgebraError("solvable cyclic algebras need n >= 2")
-    entries = [(i, 0, i + 1, 1) for i in range(n - 1)]
-    entries.append((n - 1, 0, n - 1, 1))
+    entries = itertools.chain(((i, 0, i + 1, 1) for i in range(n - 1)), [(n - 1, 0, n - 1, 1)])
     return _build(
         "cyclic_solvable(%d)/%s" % (n, _field_tag(f)), f, n, entries, "cyclic_solvable"
     )
@@ -69,8 +70,7 @@ def almost_abelian_lie(n: int, f: Field) -> LeibnizAlgebra:
     if n < 2:
         raise AlgebraError("almost abelian algebras need n >= 2")
     y = n - 1
-    entries = [(i, y, i, 1) for i in range(n - 1)]
-    entries += [(y, i, i, -1) for i in range(n - 1)]
+    entries = (e for i in range(n - 1) for e in ((i, y, i, 1), (y, i, i, -1)))
     return _build(
         "almost_abelian_lie(%d)/%s" % (n, _field_tag(f)), f, n, entries, "almost_abelian_lie"
     )
@@ -81,7 +81,7 @@ def almost_abelian_nonlie(n: int, f: Field) -> LeibnizAlgebra:
     if n < 2:
         raise AlgebraError("almost abelian algebras need n >= 2")
     y = n - 1
-    entries = [(i, y, i, 1) for i in range(n - 1)]
+    entries = ((i, y, i, 1) for i in range(n - 1))
     return _build(
         "almost_abelian_nonlie(%d)/%s" % (n, _field_tag(f)),
         f,
@@ -101,9 +101,11 @@ def family_nonlie_ii(k: int, m: int, f: Field) -> LeibnizAlgebra:
     if m < 0:
         raise AlgebraError("dim A must be >= 0")
     n = k + m
-    entries = [(i, 0, i + 1, 1) for i in range(k - 1)]
-    entries.append((k - 1, 0, k - 1, 1))
-    entries += [(k + a, 0, k + a, 1) for a in range(m)]
+    entries = itertools.chain(
+        ((i, 0, i + 1, 1) for i in range(k - 1)),
+        [(k - 1, 0, k - 1, 1)],
+        ((k + a, 0, k + a, 1) for a in range(m)),
+    )
     return _build(
         "family_nonlie_ii(k=%d,m=%d)/%s" % (k, m, _field_tag(f)),
         f,
@@ -126,9 +128,10 @@ def family_sqrt(k: int, m: int, f: Field) -> LeibnizAlgebra:
     if m < 1:
         raise AlgebraError("A must be nonzero (m >= 1)")
     n = k + m
-    entries = [(i, 0, i + 1, 1) for i in range(k - 1)]
-    entries += [(k + a, 0, k + a, 1) for a in range(m)]
-    entries += [(0, k + a, k + a, -1) for a in range(m)]
+    entries = itertools.chain(
+        ((i, 0, i + 1, 1) for i in range(k - 1)),
+        (e for a in range(m) for e in ((k + a, 0, k + a, 1), (0, k + a, k + a, -1))),
+    )
     return _build(
         "family_sqrt(k=%d,m=%d)/%s" % (k, m, _field_tag(f)), f, n, entries, "family_sqrt"
     )
@@ -142,9 +145,9 @@ def symmetric_iv(m: int, f: Field) -> LeibnizAlgebra:
         raise AlgebraError("dim B must be >= 1")
     n = m + 2
     y, ysq = m, m + 1
-    entries = [(b, y, b, 1) for b in range(m)]
-    entries += [(y, b, b, -1) for b in range(m)]
-    entries.append((y, y, ysq, 1))
+    entries = itertools.chain(
+        (e for b in range(m) for e in ((b, y, b, 1), (y, b, b, -1))), [(y, y, ysq, 1)]
+    )
     return _build(
         "symmetric_iv(m=%d)/%s" % (m, _field_tag(f)), f, n, entries, "symmetric_iv"
     )

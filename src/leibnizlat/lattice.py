@@ -7,8 +7,9 @@ semi-modularity, weak quasi-ideals) are loops over O(1) bit operations.
 Two shortcuts rest on theorems. Modularity: a lattice of finite length is
 modular iff it is upper and lower semimodular (Birkhoff, *Lattice Theory*,
 1967; Stern, *Semimodular Lattices*, 1999), so the node-pair scan, run once on
-the lattice and once on its dual, decides it, and the node-triple scan runs
-only to find a failure's witness. All-WQI:
+the lattice and once on its dual, decides it. A non-modular lattice holds a
+pentagon N_5 (Dedekind), and the failing pair names four of its nodes, so the
+witness triple is read off that pair with no node-triple scan. All-WQI:
 [U,V] is spanned by the brackets [u,v] (bilinearity), and [u,v] lies in
 <u> + <v> <= U + V when the cyclic pair <u>, <v> passes, so pairs of cyclic
 subalgebras decide it.
@@ -20,7 +21,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .linalg import BudgetExceeded, Subspace, enumerate_subspaces, monic_combinations
 from .algebra import LeibnizAlgebra, StructureReport, UnsupportedFieldError
@@ -154,32 +155,28 @@ def enumerate_subalgebras(
 
 def is_modular(lat: SubalgebraLattice) -> Verdict:
     """<U,V> ^ W = <U, V ^ W> for all node triples with U <= W, as USM and LSM."""
-    return modular_verdict(
-        lat, is_upper_semimodular(lat).holds and is_lower_semimodular_lattice(lat).holds
-    )
+    return modular_verdict(lat, is_upper_semimodular(lat),
+                           lambda: is_lower_semimodular_lattice(lat))
 
 
-def modular_verdict(lat: SubalgebraLattice, semimodular: bool) -> Verdict:
-    """Modular iff upper and lower semimodular; on a failure, the witness is the first
-    node triple (U, V, W) with U <= W and <U,V> ^ W != <U, V ^ W>. The scan skips triples
-    with V comparable to U, or V <= W: both sides are then U, V ^ W or <U,V>."""
-    if semimodular:
-        return Verdict(True, None)
-    n = len(lat.nodes)
-    upset, downset, everything = lat.upset, lat.downset, (1 << n) - 1
-    for u in range(n):
-        for v in _bits(everything & ~(upset[u] | downset[u])):
-            common = upset[u] & upset[v]
-            juv = (common & -common).bit_length() - 1
-            down_juv = downset[juv]
-            for w in _bits(upset[u] & ~upset[v]):
-                left = (down_juv & downset[w]).bit_length() - 1
-                m = (downset[v] & downset[w]).bit_length() - 1
-                cu = upset[u] & upset[m]
-                right = (cu & -cu).bit_length() - 1
-                if left != right:
-                    return Verdict(False, (lat.nodes[u], lat.nodes[v], lat.nodes[w]))
-    return Verdict(False, None)
+def modular_verdict(lat: SubalgebraLattice, usm: Verdict, lsm: Callable[[], Verdict]) -> Verdict:
+    """Modular iff upper and lower semimodular; ``lsm`` is asked only when USM holds.
+
+    A failing pair (U, B) names four nodes of a pentagon N_5. USM: B covers U ^ B, and X is
+    the lowest-index upper cover of U below <U,B>; the witness is (U, B, X). LSM: <U,B>
+    covers B, and X is the lowest-index upper cover of U ^ B below U; the witness is
+    (X, B, U). Either way the witness (U', B, W') has U' < W' with equal joins and equal
+    meets with B, so <U',B> ^ W' = W' != U' = <U', B ^ W'>.
+    """
+    verdict = usm if not usm.holds else lsm()
+    if verdict.holds:
+        return verdict
+    u, b = map(lat.index_of, verdict.witness)
+    low, high = (u, lat.join_index(u, b)) if verdict is usm else (lat.meet_index(u, b), u)
+    between = lat.covers_up[low] & lat.downset[high]
+    x = (between & -between).bit_length() - 1
+    triple = (u, b, x) if verdict is usm else (x, b, u)
+    return Verdict(False, tuple(lat.nodes[i] for i in triple))
 
 
 def _semimodular(lat: SubalgebraLattice, meet, join, covers: List[int]) -> Verdict:

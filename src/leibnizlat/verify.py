@@ -100,7 +100,7 @@ class AlgebraAnalysis:
 
     @cached_property
     def modular(self):
-        return lat_mod.modular_verdict(self.lattice, self.usm.holds and self.lsm.holds)
+        return lat_mod.modular_verdict(self.lattice, self.usm, lambda: self.lsm)
 
     @cached_property
     def usm(self):

@@ -120,6 +120,10 @@ def test_kernel_center_j():
     assert heis.leibniz_kernel().dim == 0  # Lie algebra: no nonzero squares
     assert heis.center() == Subspace.span(F3, 3, [(0, 0, 1)])
 
+    # L = 0 has no rows to solve: the center is the zero subspace
+    for f in (F3, Field.rational()):
+        assert LeibnizAlgebra("zero", f, 0, ()).center() == Subspace.zero(f, 0)
+
     cn2 = catalog.cyclic_nilpotent(2, F3)
     assert cn2.leibniz_kernel() == Subspace.span(F3, 2, [(0, 1)])
     assert cn2.square_zero_subalgebra() == Subspace.span(F3, 2, [(0, 1)])

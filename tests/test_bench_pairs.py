@@ -46,13 +46,25 @@ def test_summary_of_four_pairs():
         "bound": 0.24,
         "change_wins": "2/4",
         "gap_exceeds_parent_iqr": False,  # 0.25 against 1.5
+        "verdict": "unresolved",  # spread 1.5 is 60 % of the median, bound 24 %
     }
     rss = entry["metrics"]["peak_rss_mb"]  # the parent's flat 30.0 has no spread
     assert (rss["parent_median"], rss["change_median"], rss["ratio"]) == (30.0, 31.5, 1.05)
     assert rss["change_wins"] == "0/4" and rss["gap_exceeds_parent_iqr"] is True
+    assert rss["verdict"] == "within bound"  # a ratio of exactly 1 + bound is within it
     assert entry["laps"] == {"parent": [100, 101, 102, 103], "change": [87, 88, 89, 90]}
     assert entry["failed_share"] == {"parent": "0/160", "change": "1/160"}
     assert entry["correct"] is True
+
+
+def test_verdicts_against_the_bound():
+    parent = [1.0, 2.0, 3.0, 4.0]  # quartile spread 1.5, 60 % of the median 2.5
+    assert bench_pairs.compare(parent, [0.5, 0.6, 0.7, 0.9], 0.24)["verdict"] == "within bound"
+    assert bench_pairs.compare(parent, [0.5, 0.6, 0.7, 1.0], 0.24)["verdict"] == "unresolved"
+    assert bench_pairs.compare(parent, [0.5, 0.6, 0.7, 1.0], 0.6)["verdict"] == "within bound"
+    flat = [2.0, 2.0, 2.0, 2.0]
+    assert bench_pairs.compare(flat, [2.4, 2.5, 2.5, 2.6], 0.24)["verdict"] == "worse"
+    assert bench_pairs.compare(flat, [2.4, 2.4, 2.4, 2.6], 0.24)["verdict"] == "within bound"
 
 
 def test_unpaired_runs_are_refused():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -166,3 +167,18 @@ def test_families_registry_builds():
         }[nparams]
         l = builder(*params, f)
         assert algebra.right_leibniz_violation(l.field, l.table) is None
+
+
+@pytest.mark.parametrize("family", sorted(set(catalog.FAMILIES) - {"heisenberg_lie"}))
+def test_an_oversized_family_is_refused_before_its_entries_are_made(family):
+    # dimension about 10^5: each family's entry list alone would take megabytes
+    builder, usage = catalog.FAMILIES[family]
+    params = [2, 10 ** 5][-usage.count("<"):]
+    tracemalloc.start()
+    try:
+        with pytest.raises(AlgebraError, match="above the limit"):
+            builder(*params, F5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5

@@ -313,6 +313,11 @@ def test_catalog_emit_errors(capsys):
     # the dimension k + m of a two-parameter family is capped like a spec's dim
     assert main(["catalog", "emit", "family_nonlie_ii", "2", str(MAX_DIM - 1)]) == EXIT_INPUT_ERROR
     assert "dimension %d is above the limit %d" % (MAX_DIM + 1, MAX_DIM) in capsys.readouterr().err
+    # refused before the family makes its entries, which would exhaust memory at this size
+    assert main(["catalog", "emit", "cyclic_nilpotent", str(10 ** 12)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "error: cannot build cyclic_nilpotent(%d): dimension %d is above the limit %d\n"
+        % (10 ** 12, 10 ** 12, MAX_DIM))
 
 
 @pytest.mark.parametrize(

@@ -64,26 +64,6 @@ def _modular_triple_oracle(lat):
     return None
 
 
-def _modular_witness_oracle(lat):
-    """The witness scan over every node triple (u, v, w) with u <= w: the loop that
-    ``modular_verdict`` ran before it skipped the triples the modular law cannot fail."""
-    n = len(lat.nodes)
-    upset, downset = lat.upset, lat.downset
-    for u in range(n):
-        for v in range(n):
-            common = upset[u] & upset[v]
-            juv = (common & -common).bit_length() - 1
-            down_juv = downset[juv]
-            for w in lattice_module._bits(upset[u]):
-                left = (down_juv & downset[w]).bit_length() - 1
-                m = (downset[v] & downset[w]).bit_length() - 1
-                cu = upset[u] & upset[m]
-                right = (cu & -cu).bit_length() - 1
-                if left != right:
-                    return (False, (lat.nodes[u], lat.nodes[v], lat.nodes[w]))
-    return (False, None)
-
-
 def _semimodular_pair_oracle(lat, upper):
     """The upper (or lower) semimodular pair scan, written out once per dual.
 
@@ -336,10 +316,10 @@ def test_condition_verdicts_match_pair_and_triple_oracles(base_lattices):
     assert digest == "fd43d906abe123dd6b0bef238e4ce1f793c91793950184def2c734178c3a8895"
 
 
-def test_pruned_witness_scan_matches_the_full_triple_loop():
-    # modular_verdict with semimodular=False runs the witness scan even on a modular lattice,
-    # so the skipped triples are tested on all 305 seed-7 members, heisenberg over F_2 to
-    # F_13 in its catalog basis, and 20 random basis changes of heisenberg/F_5
+def test_modular_witness_is_the_first_failing_triple_of_the_full_loop():
+    # the pentagon read off the semimodular witness is the first failing triple of the full
+    # node-triple loop on all 305 seed-7 members, heisenberg over F_2 to F_13 in its catalog
+    # basis, and 20 random basis changes of heisenberg/F_5
     cases = list(catalog.corpus(7))
     assert len(cases) == 305
     heisenberg = [catalog.heisenberg_lie(Field.prime(p)) for p in (2, 3, 5, 7, 11, 13)]
@@ -350,12 +330,64 @@ def test_pruned_witness_scan_matches_the_full_triple_loop():
     witnesses = []
     for l in cases:
         lat = enumerate_subalgebras(l)
-        verdict = lattice_module.modular_verdict(lat, False)
-        assert tuple(verdict) == _modular_witness_oracle(lat), l.name
-        if verdict.witness is not None:
-            witnesses.append(tuple(map(lat.index_of, verdict.witness)))
+        triple = _modular_triple_oracle(lat)
+        assert tuple(is_modular(lat)) == (triple is None, triple), l.name
+        if triple is not None:
+            witnesses.append(tuple(map(lat.index_of, triple)))
     assert len(witnesses) == 12 + 6 + 20  # the corpus's heisenberg copies, and the added ones
     assert witnesses[16:18] == [(2, 13, 134), (2, 15, 184)]  # heisenberg/F11, /F13
+
+
+def _closure_lattice(rng, points, shuffle):
+    """A random closure system on a ground set of ``points`` points: the ground set and a
+    few random subsets, closed under intersection, ordered by inclusion. The nodes come in
+    size order or, with ``shuffle``, in a random linear extension; they are placeholder
+    subspaces, as the condition scans read only the order."""
+    ground = (1 << points) - 1
+    sets = {ground}
+    for _ in range(rng.randrange(1, 2 * points)):
+        s = rng.randrange(ground)
+        sets |= {s & t for t in sets}
+    sets = sorted(sets, key=lambda s: (bin(s).count("1"), s))
+    if shuffle:
+        order = []
+        while sets:
+            order.append(rng.choice([s for s in sets if not any(t != s and t & s == t
+                                                                for t in sets)]))
+            sets.remove(order[-1])
+        sets = order
+    k = len(sets)
+    upset = [sum(1 << j for j, t in enumerate(sets) if s & t == s) for s in sets]
+    nodes = [Subspace(F2, k, (tuple(int(c == i) for c in range(k)),)) for i in range(k)]
+    return SubalgebraLattice(None, nodes, upset)
+
+
+def test_condition_verdicts_on_random_closure_lattices():
+    # 200 seeded closure systems on 4 or 5 points, each in size order and in a random
+    # linear extension; unlike the algebras' lattices, these fail LSM often
+    rng = random.Random(30)
+    lattices = []
+    for i in range(200):
+        state = rng.getstate()
+        lattices.append(_closure_lattice(rng, 4 + i % 2, False))
+        rng.setstate(state)  # the same closure system, then a random linear extension
+        lattices.append(_closure_lattice(rng, 4 + i % 2, True))
+    failing = [0, 0, 0]
+    for lat in lattices:
+        assert (lat.downset, lat.covers_up) == _covers_oracle(lat.upset)
+        usm, lsm, modular = (is_upper_semimodular(lat), is_lower_semimodular_lattice(lat),
+                             is_modular(lat))
+        assert tuple(usm) == _semimodular_pair_oracle(lat, True)
+        assert tuple(lsm) == _semimodular_pair_oracle(lat, False)
+        assert usm.holds == _usm_covering_oracle(lat)
+        assert modular.holds == (_modular_triple_oracle(lat) is None)
+        if not modular.holds:  # a pentagon: u < w with equal joins and meets with v
+            u, v, w = map(lat.index_of, modular.witness)
+            assert u != w and lat.leq(u, w)
+            assert lat.join_index(u, v) == lat.join_index(w, v)
+            assert lat.meet_index(u, v) == lat.meet_index(w, v)
+        failing = [f + (not c.holds) for f, c in zip(failing, (usm, lsm, modular))]
+    assert failing == [190, 164, 196]  # USM, LSM, modular, of 400
 
 
 def _workload_algebras(rng=None):

@@ -18,8 +18,9 @@ digest and the host are read from the provenance line each run prints.
 
 The summary gives, per workload and end-to-end metric of ``BENCHMARK.json``
 (all lower-is-better), the medians and inclusive quartiles of each side, the
-change/parent ratio of the medians, the pairs the change won, and whether the
-gap of the medians exceeds the parent's interquartile range.
+change/parent ratio of the medians, the pairs the change won, whether the gap of
+the medians exceeds the parent's interquartile range, and a verdict against the
+bound: ``unresolved``, ``worse`` or ``within bound`` (see ``compare``).
 """
 
 from __future__ import annotations
@@ -50,9 +51,18 @@ def quartiles(values) -> list:
 
 
 def compare(parent: list, change: list, bound: float) -> dict:
-    """One lower-is-better metric over paired runs: parent[k] and change[k] are pair k's."""
+    """One lower-is-better metric over paired runs: parent[k] and change[k] are pair k's.
+
+    The verdict is ``unresolved`` when the parent's quartile spread exceeds the bound, as a
+    share of its median, unless every change run beats every parent run; otherwise it is
+    ``worse`` when the ratio of the medians exceeds 1 + bound, else ``within bound``.
+    """
     pm, cm = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
+    if (q3 - q1) / pm > bound and max(change) >= min(parent):
+        verdict = "unresolved"
+    else:
+        verdict = "worse" if cm / pm > 1 + bound else "within bound"
     return {
         "parent_median": round(pm, 6),
         "parent_quartiles": [q1, q3],
@@ -62,6 +72,7 @@ def compare(parent: list, change: list, bound: float) -> dict:
         "bound": bound,
         "change_wins": "%d/%d" % (sum(c < p for p, c in zip(parent, change)), len(parent)),
         "gap_exceeds_parent_iqr": abs(cm - pm) > q3 - q1,
+        "verdict": verdict,
     }
 
 
@@ -177,7 +188,8 @@ def main(argv=None) -> int:
                     doc["summary"] = summarize(doc["runs"], bounds)
                     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for entry in doc["summary"]:
-        ratios = {m: (v["ratio"], v["change_wins"]) for m, v in entry["metrics"].items()}
+        ratios = {m: (v["ratio"], v["change_wins"], v["verdict"])
+                  for m, v in entry["metrics"].items()}
         print(entry["workload"], ratios)
     return 0
 
