@@ -54,9 +54,9 @@ def _load(path: str) -> LeibnizAlgebra:
 def _open_out(path: Optional[str]):
     """Open an output file before the work, so a bad path fails at once; no path, no file.
     Append mode truncates nothing, so a failed run leaves an old file and removes a new one."""
-    created = path and not os.path.lexists(path)
+    created = path is not None and not os.path.lexists(path)
     try:
-        fh = open(path, "a") if path else contextlib.nullcontext()
+        fh = open(path, "a") if path is not None else contextlib.nullcontext()
     except OSError as exc:
         raise CliError("cannot write %s: %s" % (path, exc)) from None
     with fh as out, contextlib.ExitStack() as on_failure:
@@ -127,7 +127,7 @@ def _cmd_verify(args) -> int:
         algebras = [_load(args.file)]
     else:
         raise CliError("verify needs a file or --corpus")
-    ids = args.checks.split(",") if args.checks else None
+    ids = args.checks.split(",") if args.checks is not None else None
     unknown = [i for i in ids or () if i not in verify_mod.CHECKS]
     if unknown:
         raise CliError("unknown check ids: %s" % ", ".join(map(repr, unknown)))

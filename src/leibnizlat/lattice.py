@@ -54,7 +54,7 @@ class SubalgebraLattice:
     downset: List[int] = dc_field(init=False)  # bit i of downset[j] set iff nodes[i] <= nodes[j]
     covers_up: List[int] = dc_field(init=False)  # bit j of covers_up[i] set iff j covers i
     covers_down: List[int] = dc_field(init=False)  # covers_up transposed
-    _cyclic_of_lines: Optional[List[int]] = dc_field(init=False, compare=False)
+    _line_map: Optional[Dict[tuple, int]] = dc_field(init=False, compare=False)
 
     def __post_init__(self):
         """Nodes come in a linear extension, so the lowest node left in a strict upset is
@@ -73,7 +73,7 @@ class SubalgebraLattice:
                 self.covers_down[j] |= 1 << i
                 downset[j] |= downset[i]
                 rest &= ~upset[j]
-        self._cyclic_of_lines = None
+        self._line_map = None
 
     def __len__(self):
         return len(self.nodes)
@@ -110,12 +110,12 @@ class SubalgebraLattice:
     def coatoms(self) -> List[int]:
         return list(_bits(self.covers_down[-1]))
 
-    def cyclic_of_lines(self) -> List[int]:
-        """For each monic line v, in ``monic_lines()`` order, the node index of <v>, built on
+    def line_map(self) -> Dict[tuple, int]:
+        """Each monic line v, in ``monic_lines()`` order, to the node index of <v>, built on
         first use. Every node holding v holds <v>, and nodes come sorted by dimension, so <v>
         is the first node holding v. One pass over the nodes' monic lines gives each line its
         first node; it stops once every line has one."""
-        if self._cyclic_of_lines is None:
+        if self._line_map is None:
             l, first = self.algebra, {}
             lines = list(l.monic_lines())
             for i, node in enumerate(self.nodes):
@@ -123,8 +123,8 @@ class SubalgebraLattice:
                     break
                 for v in monic_combinations(l.field, node.basis):
                     first.setdefault(v, i)
-            self._cyclic_of_lines = [first[v] for v in lines]
-        return self._cyclic_of_lines
+            self._line_map = {v: first[v] for v in lines}
+        return self._line_map
 
 
 def enumerate_subalgebras(
@@ -220,7 +220,7 @@ def _wqi_pair(l: LeibnizAlgebra, u: Subspace, v: Subspace) -> bool:
 
 def all_subalgebras_wqi(l: LeibnizAlgebra, lat: SubalgebraLattice) -> Verdict:
     """Every node is a weak quasi-ideal, decided on pairs of cyclic subalgebras."""
-    cyclic = sorted(set(lat.cyclic_of_lines()))
+    cyclic = sorted(set(lat.line_map().values()))
     for a, i in enumerate(cyclic):
         for j in cyclic[a + 1:]:
             if not _wqi_pair(l, lat.nodes[i], lat.nodes[j]):
@@ -244,7 +244,7 @@ def wqi_elementwise(l: LeibnizAlgebra, lat: SubalgebraLattice, budget: int = 10 
     p, n = l.field.p, l.dim
     if p ** (2 * n) > budget:
         raise BudgetExceeded("p^(2n) = %d exceeds budget %d" % (p ** (2 * n), budget))
-    scan = list(zip(l.monic_lines(budget), lat.cyclic_of_lines()))
+    scan = lat.line_map().items()
     nodes, sums = lat.nodes, {}
     for x, a in scan:
         for y, c in scan:

@@ -35,8 +35,6 @@ class BudgetExceeded(RuntimeError):
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
     d = 2
     while d * d <= p:
         if p % d == 0:
@@ -53,10 +51,11 @@ class Field:
 
     def __post_init__(self):
         if self.p is not None:
-            if not isinstance(self.p, int) or not _is_prime(self.p):
-                raise LinalgError("field characteristic must be prime, got %r" % (self.p,))
-            if not 2 <= self.p <= 31:
-                raise LinalgError("prime fields are supported for 2 <= p <= 31, got %d" % self.p)
+            # the range comes first: trial division of a huge p would not return
+            if not isinstance(self.p, int) or not 2 <= self.p <= 31:
+                raise LinalgError("prime fields are supported for 2 <= p <= 31, got %r" % (self.p,))
+            if not _is_prime(self.p):
+                raise LinalgError("field characteristic must be prime, got %d" % self.p)
 
     @classmethod
     def prime(cls, p: int) -> "Field":

@@ -27,7 +27,7 @@ class SpecError(ValueError):
 def parse_spec(text: str) -> LeibnizAlgebra:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting overflows the decoder
         raise SpecError("invalid JSON: %s" % exc) from None
     if not isinstance(doc, dict):
         raise SpecError("top level must be an object")

@@ -27,8 +27,7 @@ from . import lattice as lat_mod
 
 ALMOST_OR_ABELIAN = {"abelian", "almost_abelian_lie", "almost_abelian_nonlie"}
 
-DEFAULT_SCAN_BUDGET = 10 ** 6
-DEFAULT_ELEMENTWISE_BUDGET = 10 ** 4
+ELEMENTWISE_BUDGET = 10 ** 4
 
 
 @dataclass
@@ -69,16 +68,8 @@ def _jsonable(obj):
 class AlgebraAnalysis:
     """Lazy per-algebra cache shared by all checks."""
 
-    def __init__(
-        self,
-        algebra: LeibnizAlgebra,
-        scan_budget: int = DEFAULT_SCAN_BUDGET,
-        elementwise_budget: int = DEFAULT_ELEMENTWISE_BUDGET,
-        node_budget: int = lat_mod.DEFAULT_NODE_BUDGET,
-    ):
+    def __init__(self, algebra: LeibnizAlgebra, node_budget: int = lat_mod.DEFAULT_NODE_BUDGET):
         self.algebra = algebra
-        self.scan_budget = scan_budget
-        self.elementwise_budget = elementwise_budget
         self.node_budget = node_budget
         self._quotients: Dict[tuple, Quotient] = {}  # L/I by the basis of I, filled on demand
         self._quotient_shapes: Dict[tuple, str] = {}  # the shape of L/I, likewise
@@ -172,9 +163,8 @@ class AlgebraAnalysis:
     @cached_property
     def generators(self) -> List[tuple]:
         """The monic v with <v> = L, in line order: the lines whose cyclic node is the top."""
-        lat = self.lattice  # its error comes first, then the line budget's
-        lines = list(self.algebra.monic_lines(self.scan_budget))
-        return [v for v, i in zip(lines, lat.cyclic_of_lines()) if i == len(lat) - 1]
+        top = len(self.lattice) - 1
+        return [v for v, i in self.lattice.line_map().items() if i == top]
 
     @cached_property
     def cyclic_generator(self):
@@ -255,7 +245,7 @@ def _nonabelian(a):
 
 def _element_scan_fits(a):
     f = a.algebra.field
-    return f.is_prime_field and f.p ** (2 * a.algebra.dim) <= a.elementwise_budget
+    return f.is_prime_field and f.p ** (2 * a.algebra.dim) <= ELEMENTWISE_BUDGET
 
 
 def _proper_subalgebras_1dim(a):
@@ -350,7 +340,7 @@ def _kernel_passes_to_quotient(a):
 
 
 def _elementwise_agrees(a):
-    elementwise = lat_mod.wqi_elementwise(a.algebra, a.lattice, budget=a.elementwise_budget)
+    elementwise = lat_mod.wqi_elementwise(a.algebra, a.lattice, budget=ELEMENTWISE_BUDGET)
     if elementwise.holds != a.wqi_all.holds:
         detail = "elementwise %s vs subalgebra-level %s" % (elementwise.holds, a.wqi_all.holds)
         return detail, elementwise.witness or a.wqi_all.witness
@@ -444,10 +434,7 @@ def run_check(check_id: str, l, analysis: Optional[AlgebraAnalysis] = None) -> T
 
 
 def run_suite(
-    algebras: Sequence[LeibnizAlgebra],
-    check_ids: Optional[Sequence[str]] = None,
-    scan_budget: int = DEFAULT_SCAN_BUDGET,
-    elementwise_budget: int = DEFAULT_ELEMENTWISE_BUDGET,
+    algebras: Sequence[LeibnizAlgebra], check_ids: Optional[Sequence[str]] = None
 ) -> dict:
     """Run checks over a corpus; any fail is a hard suite failure. A repeated id
     runs once, at its first place."""
@@ -457,9 +444,7 @@ def run_suite(
     }
     notes: List[str] = []
     for l in algebras:
-        analysis = AlgebraAnalysis(
-            l, scan_budget=scan_budget, elementwise_budget=elementwise_budget
-        )
+        analysis = AlgebraAnalysis(l)
         for cid in ids:
             report = run_check(cid, l, analysis)
             entry = summary[cid]

@@ -525,11 +525,11 @@ def test_cyclic_subalgebra_matches_the_power_loop():
     l = catalog.cyclic_solvable(3, F31).change_of_basis(catalog.random_invertible(F31, 3, rng))
     lat = enumerate_subalgebras(l)
     dims = collections.Counter()
-    for v, i in zip(l.monic_lines(), lat.cyclic_of_lines()):
+    for v, i in lat.line_map().items():
         assert lat.nodes[i] == _cyclic_power_oracle(l, v), v
         dims[lat.nodes[i].dim] += 1
     assert dims == {1: 32, 2: 31, 3: 930}  # the lines of L^2 square to 0
     zero = LeibnizAlgebra("zero/F3", F3, 0, ())  # no fields to read
     full = zero.full_subspace()
-    assert enumerate_subalgebras(zero).cyclic_of_lines() == []
+    assert enumerate_subalgebras(zero).line_map() == {}
     assert zero.product_space(full, full) == Subspace.zero(F3, 0)

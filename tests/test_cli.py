@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -63,6 +65,31 @@ def test_check_accepts_dim_at_limit(tmp_path, capsys):
     assert "symmetric: true" in capsys.readouterr().out
 
 
+def test_check_rejects_a_deeply_nested_spec(tmp_path, capsys):
+    # the JSON decoder runs out of recursion depth, which is an input error, not a crash
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000)
+    assert main(["check", str(path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: %s: invalid JSON: " % path)
+
+
+@pytest.mark.parametrize("route", ["spec", "field-option"])
+def test_a_huge_characteristic_is_refused_at_once(tmp_path, route):
+    # 2^61 - 1 is prime: the range is checked before trial division, which would not
+    # return, so the run ends in its own process well inside the timeout
+    p = 2 ** 61 - 1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"name": "huge", "field": {"type": "prime", "p": p}, "dim": 1, "brackets": []}))
+    argv = (["check", str(path)] if route == "spec"
+            else ["catalog", "emit", "abelian", "1", "--field", "p=%d" % p])
+    proc = subprocess.run([sys.executable, "-m", "leibnizlat.cli"] + argv,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+    assert "prime fields are supported for 2 <= p <= 31, got %d\n" % p in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/no/such/file.json"]) == EXIT_INPUT_ERROR
 
@@ -90,6 +117,26 @@ def test_unwritable_output_path_is_an_input_error(spec_path, tmp_path, capsys, c
     argv = [spec_path if a == "SPEC" else a for a in command] + [out]
     assert main(argv) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err.startswith("error: cannot write %s: " % out)
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["lattice", "SPEC", "--dot", ""], "cannot write "),
+        (["lattice", "SPEC", "--json", ""], "cannot write "),
+        (["verify", "SPEC", "--json", ""], "cannot write "),
+        (["verify", "SPEC", "--checks", ""], "unknown check ids: ''"),
+        (["catalog", "emit", "abelian", "2", "--out", ""], "cannot write "),
+    ],
+    ids=["lattice-dot", "lattice-json", "verify-json", "verify-checks", "catalog-out"],
+)
+def test_an_empty_option_value_is_an_input_error(spec_path, capsys, command, message):
+    # an empty value is a value: an empty path names no file, and an empty list names the
+    # empty check id, so none of these runs the work or writes to stdout
+    assert main([spec_path if a == "SPEC" else a for a in command]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message) and "''" in captured.err
 
 
 @pytest.mark.parametrize(

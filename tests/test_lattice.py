@@ -220,12 +220,11 @@ def test_line_map_matches_the_general_closure(base_lattices):
     for cases, key in ((base_lattices, "base"), (workloads, "workload"),
                        ([(l, enumerate_subalgebras(l)) for l in copies], "copies")):
         for l, lat in cases:
-            monic = list(l.monic_lines())
-            cyclic = lat.cyclic_of_lines()
-            assert len(cyclic) == len(monic), l.name
-            for v, i in zip(monic, cyclic):
+            line_map = lat.line_map()
+            assert list(line_map) == list(l.monic_lines()), l.name
+            for v, i in line_map.items():
                 assert lat.nodes[i] == l.subalgebra_closure([v]), (l.name, v)
-            lines[key] += len(monic)
+            lines[key] += len(line_map)
     assert lines["base"] + lines["workload"] == 2327
     assert lines["base"] + lines["copies"] == 4379
 
@@ -509,7 +508,7 @@ def test_filter_and_line_map_call_no_rref_or_bracket(monkeypatch):
     assert calls == {}
     watch(LeibnizAlgebra, "product_space")
     watch(LeibnizAlgebra, "subalgebra_closure")
-    closed = sum(lat.nodes[i].dim > 1 for lat in lattices for i in lat.cyclic_of_lines())
+    closed = sum(lat.nodes[i].dim > 1 for lat in lattices for i in lat.line_map().values())
     assert closed > 0 and calls == {}
     assert Subspace.span(F2, 1, [(1,)]).dim == 1 and calls == {"rref": 1}  # the spies are live
 
@@ -748,7 +747,7 @@ def test_wqi_elementwise_pair_loop_calls_no_bracket_or_contains(monkeypatch):
     # before the spies, the pair loop makes no bracket, no contains and no sum
     l = catalog.cyclic_solvable(3, F3).change_of_basis(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     lat = enumerate_subalgebras(l)
-    lat.cyclic_of_lines()
+    lat.line_map()
     calls = {}
     for cls, name in ((LeibnizAlgebra, "bracket"), (Subspace, "contains"), (Subspace, "sum")):
         def spy(*args, _name=name, _original=getattr(cls, name)):
@@ -771,7 +770,7 @@ def test_cyclic_pairs_with_a_node_sum_pass_the_pair_oracle(base_lattices):
         cases.append((l, enumerate_subalgebras(l)))
     counts = collections.Counter()
     for l, lat in cases:
-        for i, j in itertools.combinations(sorted(set(lat.cyclic_of_lines())), 2):
+        for i, j in itertools.combinations(sorted(set(lat.line_map().values())), 2):
             a, c, join = lat.nodes[i], lat.nodes[j], lat.nodes[lat.join_index(i, j)]
             node_sum = join.dim + lat.nodes[lat.meet_index(i, j)].dim == a.dim + c.dim
             assert (a.sum(c) == join) == node_sum, (l.name, a, c)
@@ -839,7 +838,7 @@ def test_lattice_scans_make_no_per_scalar_field_calls(monkeypatch):
     wqi_elementwise(l, enumerate_subalgebras(l))
     for s in enumerate_subspaces(F3, 3):
         dense.product_space(s, dense.full_subspace())
-    enumerate_subalgebras(dense).cyclic_of_lines()
+    enumerate_subalgebras(dense).line_map()
     assert analysis.cyclic_canonical_form() == "solvable"
     assert right_leibniz_violation(F3, dense.table) is None
     assert left_leibniz_violation(F3, dense.table) is not None

@@ -2,7 +2,10 @@
 
 import ast
 import collections
+import contextlib
+import io
 import pathlib
+import re
 
 import pytest
 
@@ -188,7 +191,7 @@ def test_line_map_closes_nothing():
     assert "subalgebra_closure" in methods and "cyclic_subalgebra" not in methods
     tree = ast.parse((SRC / "lattice.py").read_text(), filename="lattice.py")
     line_map = next(n for n in ast.walk(tree)
-                    if isinstance(n, ast.FunctionDef) and n.name == "cyclic_of_lines")
+                    if isinstance(n, ast.FunctionDef) and n.name == "line_map")
     calls = [
         "lattice.py:%d %s" % (node.lineno, node.func.attr)
         for node in ast.walk(line_map)
@@ -271,3 +274,15 @@ def test_one_elimination_routine():
         for name in _inverse_scalings(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == ["linalg.py:_insert"], "rows scaled by an inverse in: %s" % ", ".join(found)
+
+
+def test_the_readme_library_example_prints_what_its_comments_say():
+    """The README's python block runs as written, and each print matches its comment."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    expected = [line.split("# ", 1)[1].strip() for line in block.splitlines() if "print(" in line]
+    assert expected == ["8", "True", "(False, None)"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -57,14 +57,33 @@ def test_hypothesis_gating():
 
 
 def test_lem_cyclic_line_scan_has_a_budget():
-    # the generator search closes up to (p^n - 1)/(p - 1) lines; p^n bounds it
-    l = catalog.abelian(3, F3)
-    report = verify.run_check("lem-cyclic", l, verify.AlgebraAnalysis(l, scan_budget=26))
+    # the generators are read off the lattice's line map, and a lattice has fewer lines than
+    # subspaces, so the subspace budget, checked before any subspace is built, bounds them
+    l = catalog.abelian(13, F3)
+    report = verify.run_check("lem-cyclic", l)
     assert (report.status, report.detail) == (
-        "not_applicable", "budget: p^n = 27 exceeds budget 26"
+        "not_applicable",
+        "budget: F_3^13 has 434188323928823259776 subspaces, over the subspace budget 1000000",
     )
-    report = verify.run_check("lem-cyclic", l, verify.AlgebraAnalysis(l, scan_budget=27))
+    l = catalog.abelian(3, F3)
+    report = verify.run_check("lem-cyclic", l)
     assert (report.status, report.detail) == ("not_applicable", "hypothesis failed: cyclic")
+
+
+def test_a_suite_lists_each_members_lines_once(monkeypatch):
+    # the line map lists the lines once per lattice, and the all-WQI scan, lem-qi's
+    # elementwise scan and lem-cyclic's generators read it with no listing of their own
+    calls = []
+    original = LeibnizAlgebra.monic_lines
+
+    def spy(self, *args):
+        calls.append(self.name)
+        return original(self, *args)
+
+    monkeypatch.setattr(LeibnizAlgebra, "monic_lines", spy)
+    corpus = catalog.corpus(7)
+    assert verify.run_suite(corpus)["ok"]
+    assert len(calls) == len(corpus) == 305
 
 
 def test_lem_1dim_needs_dim_two():
