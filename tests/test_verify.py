@@ -84,6 +84,7 @@ def test_a_suite_lists_each_members_lines_once(monkeypatch):
     corpus = catalog.corpus(7)
     assert verify.run_suite(corpus)["ok"]
     assert len(calls) == len(corpus) == 305
+    assert collections.Counter(calls) == collections.Counter(l.name for l in corpus)
 
 
 def test_lem_1dim_needs_dim_two():
